@@ -1,8 +1,8 @@
 """LTE uplink resource-chunk scheduling simulator.
 
 A numpy-based library for studying channel plus buffer aware uplink
-schedulers with delay-deadline traffic: an exact assignment core with dummy
-padding and penalty-column replication, drop-aware scheduling policies, a
+schedulers with delay-deadline traffic: one exact integer assignment core in
+which unscheduled users pay their imminent-drop bytes, drop-aware policies, a
 block-fading channel model, multi-class traffic sources, UE-side drain
 policies including priority flipping, and a deterministic discrete-event
 engine with fairness and drop metrics.
@@ -14,6 +14,7 @@ from .assignment import (
     brute_force_assignment,
     pad_with_zero_dummies,
     replicate_penalty_dummies,
+    solve,
     solve_max_assignment,
 )
 from .channel import (

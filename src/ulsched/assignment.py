@@ -1,11 +1,18 @@
-"""Reward-maximizing assignment solver and the matrix transforms that square
-rectangular scheduling problems (zero-cost dummy columns, replicated penalty
-columns for unscheduled-user costs).
+"""The assignment core every scheduling decision reduces to, plus the
+oracles that check it.
 
-All solvers break ties the same way: among optimal assignments, the one whose
-column vector (col of row 0, col of row 1, ...) is lexicographically smallest
-wins. Matrices are integer bytes in normal use; floats are accepted but exact
-tie canonicalization is only guaranteed for integer inputs.
+solve(rewards, penalty) matches min(n, m) (row, column) pairs of an integer
+reward matrix and charges every unmatched row its penalty: dham is the case
+penalty = 0, darts passes the imminent-drop bytes k, and the surplus rounds
+are squared with zero-reward dummy users. It is built on Jonker-Volgenant
+shortest augmenting paths (1987) and one tie rule: among optimal solutions
+the lexicographically smallest column vector wins, an unmatched row
+ordering last. Inputs must be integers; anything else raises
+AssignmentError instead of being truncated.
+
+brute_force_assignment, pad_with_zero_dummies and replicate_penalty_dummies
+build the literal square problems the core is equivalent to; tests use them
+as independent oracles.
 """
 
 from dataclasses import dataclass
@@ -23,7 +30,7 @@ class Assignment:
     """A perfect row->column matching and its total reward."""
 
     mapping: tuple  # mapping[i] = column assigned to row i
-    objective: int | float
+    objective: int
 
     def columns_used(self):
         return set(self.mapping)
@@ -33,13 +40,17 @@ def _as_matrix(m):
     a = np.asarray(m)
     if a.ndim != 2 or a.size == 0:
         raise AssignmentError(f"expected a non-empty 2-D matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.astype(np.float64))):
+    if a.dtype.kind not in "iub" and not np.all(np.isfinite(a.astype(np.float64))):
         raise AssignmentError("matrix entries must be finite")
     return a
 
 
-def _is_integral(a):
-    return np.issubdtype(a.dtype, np.integer) or bool(np.all(a == np.round(a)))
+def _as_ints(a, what):
+    """a as int64; a non-integral or non-finite entry raises, never truncates."""
+    if a.dtype.kind not in "iub" and (
+            a.dtype.kind != "f" or not np.all(np.isfinite(a)) or np.any(a != np.round(a))):
+        raise AssignmentError(f"{what} must be integers")
+    return a.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -100,93 +111,150 @@ def _jv_min(cost_rows, n_rows, n_cols):
     return row_to_col, u[1:], v[1:]
 
 
-def _lexi_smallest_matching(adj, match):
-    """Lexicographically smallest perfect matching of a bipartite graph.
+def _lexi_cascade(tight, may_exit, row_of_col, rows):
+    """Canonicalize an optimal matching to the tie rule.
 
-    adj[i] is a bitmask of the columns row i may use. Because adj holds
-    exactly the zero-reduced-cost cells of an optimal solution, every perfect
-    matching here is optimal (complementary slackness), so reshaping the
-    matching only resolves ties. match is one known perfect matching.
+    tight[c][i] marks the zero-reduced-cost cells of an optimal dual and
+    may_exit[i] the rows whose dual lets them stay unmatched; by
+    complementary slackness the optimal solutions are exactly the
+    column-perfect matchings over tight cells that keep every other row
+    matched, so reshaping one only resolves ties. row_of_col is such a
+    matching (every column held). Rows 0..rows-1 in turn take the
+    lowest-indexed column some optimum still allows, else none; later rows
+    are left as they fall. Returns col_of_row with -1 for unmatched rows.
     """
-    n = len(adj)
-    col_of = list(match)
-    row_of = [0] * n
-    for i, c in enumerate(col_of):
-        row_of[c] = i
-    locked = 0  # columns fixed by rows already processed
+    m, n = len(tight), len(may_exit)
+    col_of_row = [-1] * n
+    for c, i in enumerate(row_of_col):
+        col_of_row[i] = c
+    locked_rows = [False] * n
+    locked_cols = 0
+    all_cols = (1 << m) - 1
 
-    def kuhn(r, visited):
-        # give row r a column; a column is free when row_of[col] is None
-        avail = adj[r] & ~visited[0]
-        while avail:
-            c = (avail & -avail).bit_length() - 1
-            avail &= avail - 1
-            visited[0] |= 1 << c
-            holder = row_of[c]
-            if holder is None or kuhn(holder, visited):
-                row_of[c] = r
-                col_of[r] = c
+    def entry_row(col):
+        # lowest unlocked, unmatched row that can legally take `col`
+        trow = tight[col]
+        for e in range(n):
+            if not locked_rows[e] and col_of_row[e] == -1 and trow[e]:
+                return e
+        return -1
+
+    def place(d, visited, vacated, vac_filled):
+        """Row d lost its column; re-home it along tight cells. One row may
+        leave the matching (may_exit), pairing with an entry that refills
+        the vacated column. Mutates the matching only on success."""
+        if vacated is not None and not vac_filled[0] and tight[vacated][d]:
+            row_of_col[vacated] = d
+            col_of_row[d] = vacated
+            vac_filled[0] = True
+            return True
+        for c2 in range(m):
+            bit = 1 << c2
+            if visited[0] & bit or not tight[c2][d]:
+                continue
+            visited[0] |= bit
+            holder = row_of_col[c2]
+            if place(holder, visited, vacated, vac_filled):
+                row_of_col[c2] = d
+                col_of_row[d] = c2
+                return True
+        if may_exit[d]:
+            if vacated is None or vac_filled[0]:
+                col_of_row[d] = -1
+                return True
+            e = entry_row(vacated)
+            if e >= 0:
+                row_of_col[vacated] = e
+                col_of_row[e] = vacated
+                vac_filled[0] = True
+                col_of_row[d] = -1
                 return True
         return False
 
-    for i in range(n):
-        cur = col_of[i]
-        cand = adj[i] & ~locked
-        while cand:
-            c = (cand & -cand).bit_length() - 1
-            if c >= cur:
-                break
-            cand &= cand - 1
-            displaced = row_of[c]
-            # tentatively move row i to column c, vacating cur for the cascade
-            row_of[cur] = None
-            row_of[c] = i
-            col_of[i] = c
-            visited = [locked | (1 << c)]
-            if kuhn(displaced, visited):
+    for i in range(rows):
+        if locked_cols == all_cols:
+            break
+        cur = col_of_row[i]
+        stop = cur if cur >= 0 else m
+        for c in range(stop):
+            if (locked_cols >> c) & 1 or not tight[c][i]:
+                continue
+            displaced = row_of_col[c]
+            if cur >= 0:
+                row_of_col[cur] = -1
+            row_of_col[c] = i
+            col_of_row[i] = c
+            visited = [locked_cols | (1 << c)]
+            vac_filled = [cur < 0]
+            if place(displaced, visited, cur if cur >= 0 else None, vac_filled):
                 cur = c
                 break
-            row_of[c] = displaced
-            row_of[cur] = i
-            col_of[i] = cur
-        locked |= 1 << cur
-    return col_of
+            # revert the tentative move
+            row_of_col[c] = displaced
+            col_of_row[displaced] = c
+            col_of_row[i] = cur
+            if cur >= 0:
+                row_of_col[cur] = i
+        locked_rows[i] = True
+        if cur >= 0:
+            locked_cols |= 1 << cur
+    return col_of_row
+
+
+def solve(rewards, penalty=None):
+    """Maximize the matched rewards minus penalty[i] for every unmatched row,
+    matching exactly min(n, m) (row, column) pairs of the integer n x m
+    matrix. Returns (col_of_row, objective), -1 marking an unmatched row.
+
+    Tie rule: among optimal solutions, the lexicographically smallest column
+    vector, an unmatched row ordering after every column - exactly what
+    replicate_penalty_dummies (n > m) or zero dummy rows (n < m) followed by
+    a square solve give. With more rows than columns the penalty folds into
+    the rewards: a square problem whose n - m dummy columns all hold -k_i
+    equals rewards + k with every column matched, so the transposed m x n
+    problem is solved directly. Otherwise zero-reward dummy rows square it.
+    """
+    r = np.asarray(rewards)
+    if r.ndim != 2:
+        raise AssignmentError(f"expected a 2-D matrix, got shape {r.shape}")
+    r = _as_ints(r, "rewards")
+    n, m = r.shape
+    k = np.zeros(n, np.int64) if penalty is None else _as_ints(np.asarray(penalty), "penalties")
+    if k.shape != (n,):
+        raise AssignmentError(f"penalty vector must have length {n}, got shape {k.shape}")
+    if n == 0 or m == 0:
+        return [-1] * n, -int(k.sum())
+    if n > m:
+        folded = r + k[:, None]
+        cost = (folded.max(axis=0, keepdims=True) - folded).T  # (m, n): columns take rows
+        row_of_col, u, v = _jv_min(cost.tolist(), m, n)
+        tight = (cost - np.array(u)[:, None] - np.array(v) == 0).tolist()
+        cols = _lexi_cascade(tight, [x == 0 for x in v], row_of_col, n)
+    else:
+        square = r if n == m else np.concatenate([r, np.zeros((m - n, m), np.int64)])
+        cost = square.max(axis=1, keepdims=True) - square
+        col_of, u, v = _jv_min(cost.tolist(), m, m)
+        row_of_col = [0] * m
+        for i, c in enumerate(col_of):
+            row_of_col[c] = i
+        tight = (cost - np.array(u)[:, None] - np.array(v) == 0).T.tolist()
+        cols = _lexi_cascade(tight, [False] * m, row_of_col, n)[:n]
+    idx = np.array(cols)
+    hit = idx >= 0
+    objective = int(r[hit, idx[hit]].sum() - k[~hit].sum())
+    return cols, objective
 
 
 def solve_max_assignment(m) -> Assignment:
-    """Exact maximum-reward perfect matching on a square matrix.
-
-    Entries may be negative (penalty columns carry negated drop counts); the
-    internal conversion to a nonnegative minimization cost is
-    cost = row_max - reward, which shifts every perfect matching by the same
-    per-row constants and so preserves the argmax. The reported objective is
-    computed from the original rewards.
-    """
+    """Maximum-reward perfect matching of a square integer matrix, under
+    solve's tie rule. Entries may be negative (penalty columns carry negated
+    drop counts)."""
     a = _as_matrix(m)
     n, cols = a.shape
     if n != cols:
         raise AssignmentError(f"matrix must be square, got {n}x{cols}")
-    integral = _is_integral(a)
-    work = a.astype(np.int64) if integral else a.astype(np.float64)
-    if n == 1:
-        return Assignment(mapping=(0,), objective=work[0, 0].item())
-    cost = work.max(axis=1, keepdims=True) - work
-    cost_rows = cost.tolist()
-    row_to_col, u, v = _jv_min(cost_rows, n, n)
-    if n <= 64:
-        eps = 0 if integral else 1e-9 * max(1.0, float(np.abs(cost).max()))
-        adj = []
-        for i in range(n):
-            mask = 0
-            ui = u[i]
-            row = cost_rows[i]
-            for j in range(n):
-                if row[j] - ui - v[j] <= eps:
-                    mask |= 1 << j
-            adj.append(mask)
-        row_to_col = _lexi_smallest_matching(adj, row_to_col)
-    obj = sum(work[i, c].item() for i, c in enumerate(row_to_col))
-    return Assignment(mapping=tuple(row_to_col), objective=obj)
+    mapping, objective = solve(a)
+    return Assignment(mapping=tuple(mapping), objective=objective)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +268,7 @@ def brute_force_assignment(m, limit: int = 8) -> Assignment:
     """Exact optimum by full permutation enumeration (test oracle, n <= 8).
 
     Permutations are generated in lexicographic order and argmax keeps the
-    first maximum, which matches solve_max_assignment's tie-break rule by
-    construction.
+    first maximum, which is solve's tie rule by construction.
     """
     a = _as_matrix(m)
     n, cols = a.shape

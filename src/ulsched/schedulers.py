@@ -3,23 +3,19 @@
 dham   - channel plus buffer aware: maximize total transmittable bytes.
 darts  - dham extended with drop awareness: unscheduled users pay their
          imminent-drop byte count k, scheduled users pay the residual drop
-         d = max(0, k_current - w); reduces to an assignment problem by
-         replicating a -k dummy column per missing resource chunk.
+         d = max(0, k_current - w).
 dafs   - darts driven by the mixed-traffic urgency metric.
 
-For speed the replicated dummy block is folded algebraically: a square
-assignment with (n - m) identical dummy columns valued -k_i equals the
-rectangular problem with rewards (gamma + k) where every real column must be
-matched and each unmatched row contributes -k_i. The fold preserves
-objectives and the lexicographic tie rule exactly; tests cross-check it
-against the literal replicate-and-solve pipeline.
+Every decision is one or more calls of assignment.solve: dham with no
+penalty, darts and dafs with k as the unmatched-row penalty, and each round
+of the surplus regime (fewer users than chunks) on the depleted buffers.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import _jv_min, solve_max_assignment
+from .assignment import solve
 from .channel import cqi_to_bytes_per_rc
 from .traffic import UrgencyReport
 
@@ -103,157 +99,23 @@ def _k_vectors(urgency, n_ues):
 
 
 # ---------------------------------------------------------------------------
-# reduced solver: every column matched, unmatched rows pay a penalty
-# ---------------------------------------------------------------------------
-
-def _solve_with_penalties(rewards, k):
-    """Maximize sum(rewards[i, c]) - sum(k[i] over unmatched rows), where the
-    m columns go to m distinct rows (n >= m). Equivalent - including the
-    lexicographic tie rule - to replicate_penalty_dummies followed by
-    solve_max_assignment: rows ascending take the lowest-indexed column
-    consistent with optimality, else none.
-
-    Returns (col_of_row list with -1 for unmatched, objective).
-    """
-    r = np.asarray(rewards, dtype=np.int64)
-    kv = np.asarray(k, dtype=np.int64)
-    n, m = r.shape
-    if n < m:
-        raise SchedulerError("penalty solve requires rows >= cols")
-    folded = r + kv[:, None]
-    # minimize on the transposed problem: each column-row must take a UE
-    ct = (folded.max(axis=0, keepdims=True) - folded).T  # (m, n)
-    cost_rows = ct.tolist()
-    col_to_row, u, v = _jv_min(cost_rows, m, n)
-
-    row_of_col = list(col_to_row)
-    col_of_row = [-1] * n
-    for c, i in enumerate(row_of_col):
-        col_of_row[i] = c
-    # complementary slackness: optimal configurations are exactly the
-    # column-perfect matchings over tight cells in which every row with a
-    # negative dual stays matched
-    tight = []
-    for c in range(m):
-        uc = u[c]
-        crow = cost_rows[c]
-        tight.append([crow[i] - uc - v[i] == 0 for i in range(n)])
-    may_exit = [v[i] == 0 for i in range(n)]
-
-    locked_rows = [False] * n
-    locked_cols = 0
-    all_cols = (1 << m) - 1
-
-    def entry_row(col):
-        # lowest unlocked, unmatched row that can legally take `col`
-        trow = tight[col]
-        for e in range(n):
-            if not locked_rows[e] and col_of_row[e] == -1 and trow[e]:
-                return e
-        return -1
-
-    def place(d, visited, vacated, vac_filled):
-        """Row d lost its column; re-home it along tight cells. One row may
-        leave the matching (dual zero), pairing with an entry that refills
-        the vacated column. Mutates the matching only on success."""
-        if vacated is not None and not vac_filled[0] and tight[vacated][d]:
-            row_of_col[vacated] = d
-            col_of_row[d] = vacated
-            vac_filled[0] = True
-            return True
-        for c2 in range(m):
-            bit = 1 << c2
-            if visited[0] & bit or not tight[c2][d]:
-                continue
-            visited[0] |= bit
-            holder = row_of_col[c2]
-            if place(holder, visited, vacated, vac_filled):
-                row_of_col[c2] = d
-                col_of_row[d] = c2
-                return True
-        if may_exit[d]:
-            if vacated is None or vac_filled[0]:
-                col_of_row[d] = -1
-                return True
-            e = entry_row(vacated)
-            if e >= 0:
-                row_of_col[vacated] = e
-                col_of_row[e] = vacated
-                vac_filled[0] = True
-                col_of_row[d] = -1
-                return True
-        return False
-
-    for i in range(n):
-        if locked_cols == all_cols:
-            break
-        cur = col_of_row[i]
-        stop = cur if cur >= 0 else m
-        for c in range(stop):
-            if (locked_cols >> c) & 1 or not tight[c][i]:
-                continue
-            displaced = row_of_col[c]
-            if cur >= 0:
-                row_of_col[cur] = -1
-            row_of_col[c] = i
-            col_of_row[i] = c
-            visited = [locked_cols | (1 << c)]
-            vac_filled = [cur < 0]
-            if place(displaced, visited, cur if cur >= 0 else None, vac_filled):
-                cur = c
-                break
-            # revert the tentative move
-            row_of_col[c] = displaced
-            col_of_row[displaced] = c
-            col_of_row[i] = cur
-            if cur >= 0:
-                row_of_col[cur] = i
-        locked_rows[i] = True
-        if cur >= 0:
-            locked_cols |= 1 << cur
-
-    objective = 0
-    for i, c in enumerate(col_of_row):
-        objective += int(r[i, c]) if c >= 0 else -int(kv[i])
-    return col_of_row, objective
-
-
-def _solve_rows_all(rewards):
-    """Every row matched to a distinct column (n <= m), surplus columns left
-    empty; ties as in the zero-dummy-row padding pipeline. Sizes here are at
-    most the RC count, so the literal square solve is used directly.
-    Returns (col_of_row, objective)."""
-    r = np.asarray(rewards, dtype=np.int64)
-    n, m = r.shape
-    if n > m:
-        raise SchedulerError("row-side solve requires rows <= cols")
-    square = np.zeros((m, m), dtype=np.int64)
-    square[:n] = r
-    sol = solve_max_assignment(square)
-    col_of_row = [sol.mapping[i] for i in range(n)]
-    objective = int(sum(r[i, c] for i, c in enumerate(col_of_row)))
-    return col_of_row, objective
-
-
-# ---------------------------------------------------------------------------
 # policies
 # ---------------------------------------------------------------------------
 
-def _decision_from_cols(col_of_row, W, rows, objective, grants=None):
+def _decision_from_cols(col_of_row, W, rows, objective):
     """Assemble a SchedulerDecision from per-row column choices computed on a
     row subset `rows` of the full UE set."""
     n, m = W.n_ues, W.n_rcs
     rc_to_ue = [None] * m
     ue_rcs = [() for _ in range(n)]
-    g = np.zeros(n, dtype=np.int64) if grants is None else grants
+    g = np.zeros(n, dtype=np.int64)
     unscheduled = []
     for local, ue in enumerate(rows):
         c = col_of_row[local]
-        if c is not None and 0 <= c < m:
+        if c >= 0:
             rc_to_ue[c] = ue
             ue_rcs[ue] = (c,)
-            if grants is None:
-                g[ue] = W.w[ue, c]
+            g[ue] = W.w[ue, c]
         else:
             unscheduled.append(ue)
     return SchedulerDecision(rc_to_ue=tuple(rc_to_ue), ue_rcs=tuple(ue_rcs),
@@ -268,11 +130,7 @@ def schedule_dham(W: TrafficMatrixW) -> SchedulerDecision:
     capable = [i for i in range(W.n_ues) if W.b[i] > 0]
     if not capable:
         return _decision_from_cols([], W, [], 0)
-    sub = W.w[capable]
-    if len(capable) >= W.n_rcs:
-        cols, obj = _solve_with_penalties(sub, np.zeros(len(capable), dtype=np.int64))
-    else:
-        cols, obj = _solve_rows_all(sub)
+    cols, obj = solve(W.w[capable])
     return _decision_from_cols(cols, W, capable, obj)
 
 
@@ -296,8 +154,7 @@ def _schedule_darts_k(W, k, k_cur, d=None) -> SchedulerDecision:
         d = np.asarray(d, dtype=np.int64)
         if d.shape != W.w.shape:
             raise SchedulerError(f"drop matrix shape {d.shape} != {W.w.shape}")
-    gamma = W.w - d
-    cols, obj = _solve_with_penalties(gamma, k)
+    cols, obj = solve(W.w - d, k)
     return _decision_from_cols(cols, W, list(range(n)), obj)
 
 
@@ -322,15 +179,12 @@ def schedule_iterative_surplus(W: TrafficMatrixW, urgency=None,
         if not active or not remaining:
             break
         w_round = np.minimum(W.p[np.ix_(active, remaining)], b[active, None])
-        if len(active) <= len(remaining):
-            cols, _obj = _solve_rows_all(w_round)
-        else:
-            cols, _obj = _solve_with_penalties(w_round, k[active])
+        cols, _obj = solve(w_round, k[active])
         granted_any = False
         taken = []
         for local, ue in enumerate(active):
             c = cols[local]
-            if c is None or c < 0 or c >= len(remaining):
+            if c < 0:
                 continue
             rc = remaining[c]
             got = int(w_round[local, c])

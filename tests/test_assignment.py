@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from ulsched.assignment import (
     AssignmentError,
     brute_force_assignment,
     pad_with_zero_dummies,
     replicate_penalty_dummies,
+    solve,
     solve_max_assignment,
 )
 
@@ -181,3 +183,62 @@ def test_replication_pipeline_equals_rectangular_enumeration():
         sq = replicate_penalty_dummies(gamma, k)
         got = solve_max_assignment(sq).objective
         assert got == _enumerate_rectangular_optimum(gamma, k)
+
+
+def test_solve_rejects_non_integral_input():
+    # the core never truncates: 3.0000001 must not silently become 3
+    with pytest.raises(AssignmentError):
+        solve([[1, 3.0000001], [2, 2]])
+    with pytest.raises(AssignmentError):
+        solve([[1, 2], [3, 4], [5, 6]], penalty=[0, 0.5, 0])
+    with pytest.raises(AssignmentError):
+        solve([[1, np.nan]])
+    with pytest.raises(AssignmentError):
+        solve([[1], [2]], penalty=[0, np.inf])
+    with pytest.raises(AssignmentError):
+        solve_max_assignment([[0.5, 1], [1, 2]])
+
+
+def _lexi_oracle(rewards, penalty):
+    """The tie rule rebuilt from scipy's linear_sum_assignment, which has no
+    tie rule of its own: on the literal square problem, fix rows in order,
+    each to its smallest real column that keeps the optimum, else to a
+    dummy (unmatched, -1)."""
+    n, m = rewards.shape
+    work = replicate_penalty_dummies(rewards, penalty) if n > m else rewards.copy()
+    work = work.astype(np.int64)
+    big = int(np.abs(work).max()) * (2 * len(work) + 2) + 1
+
+    def best(a):
+        r, c = linear_sum_assignment(a, maximize=True)
+        return int(a[r, c].sum())
+
+    target = best(work)
+    cols = []
+    for i in range(n):
+        for c in range(m):
+            trial = work.copy()
+            keep = trial[i, c]
+            trial[i] = -big
+            trial[i, c] = keep
+            if best(trial) == target:
+                work = trial
+                break
+        else:
+            c = -1
+        cols.append(c)
+    return cols, target
+
+
+def test_tie_rule_holds_above_64_rows():
+    rng = np.random.default_rng(6464)
+    for trial in range(5):
+        r = rng.integers(0, 3, size=(70, 70))  # three levels: ties everywhere
+        cols, obj = solve(r)
+        assert (cols, obj) == _lexi_oracle(r, np.zeros(70, dtype=np.int64)), trial
+        assert solve_max_assignment(r).mapping == tuple(cols)
+    r = rng.integers(0, 3, size=(100, 70))
+    k = rng.integers(0, 3, size=100)
+    cols, obj = solve(r, k)
+    assert (cols, obj) == _lexi_oracle(r, k)
+    assert cols.count(-1) == 30

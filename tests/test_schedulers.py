@@ -1,17 +1,16 @@
 """Scheduler tests: worked examples, ILP-enumeration oracles, and the
-equivalence of the folded penalty solver with the literal dummy-replication
-pipeline."""
+equivalence of the assignment core with the literal dummy-padding and
+dummy-replication pipelines."""
 
 from itertools import permutations
 
 import numpy as np
 import pytest
 
-from ulsched.assignment import replicate_penalty_dummies, solve_max_assignment
+from ulsched.assignment import brute_force_assignment, replicate_penalty_dummies, solve
 from ulsched.schedulers import (
     SchedulerError,
     TrafficMatrixW,
-    _solve_with_penalties,
     build_traffic_matrix,
     compute_drop_matrix,
     dafs_metric,
@@ -57,27 +56,30 @@ def test_build_traffic_matrix_edge_rows():
 
 
 # ---------------------------------------------------------------------------
-# folded solver == literal replicate + solve pipeline
+# assignment core == literal pad / replicate + solve pipeline
 # ---------------------------------------------------------------------------
 
 def _literal_pipeline(gamma, k):
-    """The exact construction: replicate -k dummy columns to square, solve,
-    then project dummy assignments to 'no column'."""
+    """The exact construction, solved by permutation enumeration: replicate
+    -k dummy columns (more rows) or append zero-reward dummy rows (fewer
+    rows) to square, solve, then project dummy assignments to 'no column'."""
     n, m = gamma.shape
-    if n == m:
-        sol = solve_max_assignment(gamma)
-        return [c for c in sol.mapping], sol.objective
-    sq = replicate_penalty_dummies(gamma, k)
-    sol = solve_max_assignment(sq)
-    cols = [c if c < m else -1 for c in sol.mapping]
-    return cols, sol.objective
+    if n > m:
+        sol = brute_force_assignment(replicate_penalty_dummies(gamma, k))
+        return [c if c < m else -1 for c in sol.mapping], sol.objective
+    square = np.vstack([gamma, np.zeros((m - n, m), dtype=gamma.dtype)])
+    sol = brute_force_assignment(square)
+    return list(sol.mapping[:n]), sol.objective
 
 
 def test_folded_solver_equals_literal_pipeline():
     rng = np.random.default_rng(2024)
-    for trial in range(600):
+    shapes = set()
+    for trial in range(900):
         n = int(rng.integers(2, 8))
         m = int(rng.integers(1, n + 1))
+        if trial >= 600:
+            n, m = m, n  # as many or fewer rows than columns
         if rng.random() < 0.5:
             gamma = rng.integers(-5, 6, size=(n, m))  # tie-dense
             k = rng.integers(0, 4, size=n)
@@ -85,9 +87,11 @@ def test_folded_solver_equals_literal_pipeline():
             gamma = rng.integers(-756, 757, size=(n, m))
             k = rng.integers(0, 757, size=n)
         want_cols, want_obj = _literal_pipeline(gamma, k)
-        got_cols, got_obj = _solve_with_penalties(gamma, k)
+        got_cols, got_obj = solve(gamma, k)
         assert got_obj == want_obj, f"objective mismatch on trial {trial}"
         assert got_cols == want_cols, f"tie-break mismatch on trial {trial}"
+        shapes.add((n > m) - (n < m))
+    assert shapes == {-1, 0, 1}
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .traffic import (
     CLASSES,
     DATA,
     DataSource,
+    TrafficError,
     UeBuffer,
     VIDEO,
     VOICE,
@@ -151,6 +152,26 @@ def validate(cfg: ScenarioConfig) -> None:
         raise ConfigError("channel.cqi_thresholds_db must be 15 nondecreasing values")
     if cfg.history_window < 1:
         raise ConfigError("history_window must be at least 1")
+    for key in ("voice_deadline_ms", "video_deadline_ms"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be at least 1")
+    if cfg.ue_mode == "fixed":
+        _check_voice_floor(cfg, cfg.n_ues)
+
+
+def _check_voice_floor(cfg: ScenarioConfig, n_ues: int) -> None:
+    """The voice load, split over n_ues live sources, must exceed what the
+    silence descriptors alone send; a replayed arrival trace has no sources."""
+    load = cfg.loads_mbps.get(VOICE, 0.0)
+    if cfg.arrival_trace or load <= 0 or n_ues == 0:
+        return
+    vp = cfg.voice_params
+    try:
+        voice_interval_for_load(load * 1e6 / n_ues, **{
+            k: vp[k] for k in ("packet_bytes", "sid_bytes", "sid_interval_ms",
+                               "talk_mean_ms", "silence_mean_ms")})
+    except TrafficError as err:
+        raise ConfigError(f"loads_mbps.voice = {load} Mbps over {n_ues} UEs: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +252,14 @@ def run(cfg: ScenarioConfig) -> MetricsSummary:
     validate(cfg)
     topo = deploy(cfg, np.random.default_rng([cfg.seed, 0]))
     n = topo.n_ues
+    if cfg.ue_mode == "ppp":
+        _check_voice_floor(cfg, n)
     buffers = [UeBuffer(capacity=cfg.buffer_capacity, threshold=cfg.buffer_threshold,
                         voice_deadline=cfg.voice_deadline_ms,
                         video_deadline=cfg.video_deadline_ms,
                         history_window=cfg.history_window)
                for _ in range(n)]
-    arrival_trace = load_arrival_trace(cfg.arrival_trace) if cfg.arrival_trace else None
+    arrival_trace = load_arrival_trace(cfg.arrival_trace, n) if cfg.arrival_trace else None
     sources = [] if arrival_trace is not None else _build_sources(cfg, n)
     if cfg.cqi_trace:
         trace = load_cqi_trace(cfg.cqi_trace, n, cfg.channel.rc_count)

@@ -405,8 +405,8 @@ def compute_urgency(buf: UeBuffer, tti: int, mode: str = "single_class") -> Urge
 # arrival trace fixture
 # ---------------------------------------------------------------------------
 
-def load_arrival_trace(path):
-    """Deterministic arrivals: lines of `tti ue class size_bytes`.
+def load_arrival_trace(path, n_ues):
+    """Deterministic arrivals for n_ues UEs: lines of `tti ue class size_bytes`.
     Returns {tti: [(ue, cls, size), ...]}."""
     out: dict = {}
     with open(path) as fh:
@@ -419,6 +419,10 @@ def load_arrival_trace(path):
             tti, ue, cls, size = int(parts[0]), int(parts[1]), parts[2], int(parts[3])
             if cls not in CLASSES:
                 raise TrafficError(f"{path}:{lineno}: unknown class {cls!r}")
+            if not 0 <= ue < n_ues:
+                raise TrafficError(f"{path}:{lineno}: UE {ue} outside 0..{n_ues - 1}")
+            if size <= 0:
+                raise TrafficError(f"{path}:{lineno}: packet size {size} must be positive")
             out.setdefault(tti, []).append((ue, cls, size))
     return out
 

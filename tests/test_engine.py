@@ -41,6 +41,34 @@ def test_validate_rejects_bad_keys_and_values():
     assert "not_a_key" in str(err.value)
 
 
+def test_validate_rejects_deadlines_below_one_tti():
+    for key, value in (("voice_deadline_ms", 0), ("video_deadline_ms", -5)):
+        with pytest.raises(ConfigError) as err:
+            validate(ScenarioConfig(**{key: value}))
+        assert key in str(err.value)
+
+
+def test_validate_rejects_voice_load_below_sid_floor():
+    # 0.01 Mbps over 30 UEs is 333 bps each; the SIDs alone send 375 bps
+    cfg = ScenarioConfig(n_ues=30, loads_mbps={VOICE: 0.01, VIDEO: 1.0, DATA: 1.0})
+    with pytest.raises(ConfigError) as err:
+        validate(cfg)
+    assert "loads_mbps.voice" in str(err.value)
+    validate(ScenarioConfig(n_ues=20, loads_mbps={VOICE: 0.01, VIDEO: 1.0, DATA: 1.0}))
+
+
+def test_arrival_trace_rejects_bad_ue_and_size(tmp_path):
+    from ulsched.traffic import TrafficError
+    for bad, why in (("3 7 voice 40", "UE 7"), ("3 1 voice -40", "size -40"),
+                     ("3 -1 voice 40", "UE -1")):
+        arr = tmp_path / "arrivals.txt"
+        arr.write_text(f"0 0 voice 40\n{bad}\n")
+        cfg = ScenarioConfig(policy="darts", tti_count=10, n_ues=2, arrival_trace=str(arr))
+        with pytest.raises(TrafficError) as err:
+            run(cfg)
+        assert f"{arr}:2" in str(err.value) and why in str(err.value)
+
+
 def test_config_json_roundtrip(tmp_path):
     cfg = ScenarioConfig(policy="dafs", ue_policy="flip", seed=9)
     path = tmp_path / "cfg.json"

@@ -165,11 +165,8 @@ def _check_voice_floor(cfg: ScenarioConfig, n_ues: int) -> None:
     load = cfg.loads_mbps.get(VOICE, 0.0)
     if cfg.arrival_trace or load <= 0 or n_ues == 0:
         return
-    vp = cfg.voice_params
     try:
-        voice_interval_for_load(load * 1e6 / n_ues, **{
-            k: vp[k] for k in ("packet_bytes", "sid_bytes", "sid_interval_ms",
-                               "talk_mean_ms", "silence_mean_ms")})
+        _voice_interval(cfg, load * 1e6 / n_ues)
     except TrafficError as err:
         raise ConfigError(f"loads_mbps.voice = {load} Mbps over {n_ues} UEs: {err}") from None
 
@@ -206,6 +203,13 @@ def deploy(cfg: ScenarioConfig, rng) -> Topology:
 # runs
 # ---------------------------------------------------------------------------
 
+def _voice_interval(cfg: ScenarioConfig, load_bps: float) -> float:
+    vp = cfg.voice_params
+    return voice_interval_for_load(load_bps, **{
+        k: vp[k] for k in ("packet_bytes", "sid_bytes", "sid_interval_ms",
+                           "talk_mean_ms", "silence_mean_ms")})
+
+
 def _build_sources(cfg: ScenarioConfig, n_ues: int):
     """Per-UE generator lists; network loads divide evenly across UEs."""
     if n_ues == 0:
@@ -217,11 +221,7 @@ def _build_sources(cfg: ScenarioConfig, n_ues: int):
         if per_ue[VOICE] > 0:
             vp = cfg.voice_params
             rng = np.random.default_rng([cfg.seed, 1, ue])
-            interval = voice_interval_for_load(per_ue[VOICE], **{
-                "packet_bytes": vp["packet_bytes"], "sid_bytes": vp["sid_bytes"],
-                "sid_interval_ms": vp["sid_interval_ms"],
-                "talk_mean_ms": vp["talk_mean_ms"],
-                "silence_mean_ms": vp["silence_mean_ms"]})
+            interval = _voice_interval(cfg, per_ue[VOICE])
             pi_talk = vp["silence_mean_ms"] / (vp["talk_mean_ms"] + vp["silence_mean_ms"])
             gen.append(VoiceSource(rng, interval_ms=interval,
                                    packet_bytes=vp["packet_bytes"],

@@ -128,8 +128,6 @@ def schedule_dham(W: TrafficMatrixW) -> SchedulerDecision:
     treated as dummy-assigned; at most min(n_rc, capable users) real grants.
     """
     capable = [i for i in range(W.n_ues) if W.b[i] > 0]
-    if not capable:
-        return _decision_from_cols([], W, [], 0)
     cols, obj = solve(W.w[capable])
     return _decision_from_cols(cols, W, capable, obj)
 

@@ -199,6 +199,12 @@ def test_solve_rejects_non_integral_input():
         solve_max_assignment([[0.5, 1], [1, 2]])
 
 
+def test_solve_with_no_columns_leaves_every_row_unmatched():
+    # a channel configured with zero chunks gives n x 0 reward matrices
+    assert solve(np.zeros((2, 0), dtype=int), [1, 2]) == ([-1, -1], -3)
+    assert solve(np.zeros((0, 3), dtype=int)) == ([], 0)
+
+
 def _lexi_oracle(rewards, penalty):
     """The tie rule rebuilt from scipy's linear_sum_assignment, which has no
     tie rule of its own: on the literal square problem, fix rows in order,

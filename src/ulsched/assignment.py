@@ -4,11 +4,12 @@ oracles that check it.
 solve(rewards, penalty) matches min(n, m) (row, column) pairs of an integer
 reward matrix and charges every unmatched row its penalty: dham is the case
 penalty = 0, darts passes the imminent-drop bytes k, and the surplus rounds
-are squared with zero-reward dummy users. It is built on Jonker-Volgenant
-shortest augmenting paths (1987) and one tie rule: among optimal solutions
-the lexicographically smallest column vector wins, an unmatched row
-ordering last. Inputs must be integers; anything else raises
-AssignmentError instead of being truncated.
+(fewer rows than columns) solve only their real rows, the zero-reward dummy
+users that would square them entering through their implied duals. It is
+built on Jonker-Volgenant shortest augmenting paths (1987) and one tie
+rule: among optimal solutions the lexicographically smallest column vector
+wins, an unmatched row ordering last. Inputs must be integers; anything
+else raises AssignmentError instead of being truncated.
 
 brute_force_assignment, pad_with_zero_dummies and replicate_penalty_dummies
 build the literal square problems the core is equivalent to; tests use them
@@ -60,9 +61,16 @@ def _as_ints(a, what):
 def _jv_min(cost_rows, n_rows, n_cols):
     """Shortest-augmenting-path assignment for a nonnegative cost matrix
     given as a list of row lists, n_rows <= n_cols (minimization). Every row
-    gets a column; surplus columns stay unmatched with dual 0. Returns
-    (row_to_col, u, v); duals stay integral for integral costs, so reduced
-    costs can be tested exactly afterwards.
+    gets a column; surplus columns stay unmatched with dual 0, and since v
+    only ever falls, v <= 0 everywhere. Returns (row_to_col, u, v); duals
+    stay integral for integral costs, so reduced costs can be tested exactly
+    afterwards.
+
+    Each row's Dijkstra scans only the still-free columns, in index order,
+    and keeps absolute path lengths: a column reached through row i0 at
+    reach[j0] costs reach[j0] + c[i0][j] - u[i0] - v[j]. The duals of the
+    used columns and their rows move once, by d - reach[j], when the phase
+    ends at a free column of length d.
     """
     INF = float("inf")
     u = [0] * (n_rows + 1)
@@ -72,34 +80,34 @@ def _jv_min(cost_rows, n_rows, n_cols):
     for i in range(1, n_rows + 1):
         p[0] = i
         j0 = 0
-        minv = [INF] * (n_cols + 1)
-        used = [False] * (n_cols + 1)
+        reach = [INF] * (n_cols + 1)
+        reach[0] = 0
+        free = list(range(1, n_cols + 1))
+        used = [0]
         while True:
-            used[j0] = True
             i0 = p[j0]
-            delta = INF
-            j1 = -1
+            base = reach[j0] - u[i0]
             row = cost_rows[i0 - 1]
-            du = u[i0]
-            for j in range(1, n_cols + 1):
-                if not used[j]:
-                    cur = row[j - 1] - du - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(n_cols + 1):
-                if used[j]:
-                    if p[j]:
-                        u[p[j]] += delta
-                    v[j] -= delta
+            best = INF
+            for j in free:
+                cur = base + row[j - 1] - v[j]
+                if cur < reach[j]:
+                    reach[j] = cur
+                    way[j] = j0
                 else:
-                    minv[j] -= delta
+                    cur = reach[j]
+                if cur < best:
+                    best = cur
+                    j1 = j
             j0 = j1
             if p[j0] == 0:
                 break
+            used.append(j0)
+            free.remove(j0)
+        for j in used:
+            t = best - reach[j]
+            u[p[j]] += t
+            v[j] -= t
         while j0:
             j1 = way[j0]
             p[j0] = p[j1]
@@ -212,7 +220,9 @@ def solve(rewards, penalty=None):
     a square solve give. With more rows than columns the penalty folds into
     the rewards: a square problem whose n - m dummy columns all hold -k_i
     equals rewards + k with every column matched, so the transposed m x n
-    problem is solved directly. Otherwise zero-reward dummy rows square it.
+    problem is solved directly. Otherwise only the n real rows are solved;
+    the m - n zero-reward dummy rows of the square problem get dual 0 and
+    sit on the columns the real rows leave free.
     """
     r = np.asarray(rewards)
     if r.ndim != 2:
@@ -231,14 +241,20 @@ def solve(rewards, penalty=None):
         tight = (cost - np.array(u)[:, None] - np.array(v) == 0).tolist()
         cols = _lexi_cascade(tight, [x == 0 for x in v], row_of_col, n)
     else:
-        square = r if n == m else np.concatenate([r, np.zeros((m - n, m), np.int64)])
-        cost = square.max(axis=1, keepdims=True) - square
-        col_of, u, v = _jv_min(cost.tolist(), m, m)
-        row_of_col = [0] * m
+        cost = r.max(axis=1, keepdims=True) - r
+        col_of, u, v = _jv_min(cost.tolist(), n, m)
+        # dummy rows (cost 0, dual 0) are tight exactly where v = 0, a set
+        # that holds every column the real rows left free
+        row_of_col = [-1] * m
         for i, c in enumerate(col_of):
             row_of_col[c] = i
-        tight = (cost - np.array(u)[:, None] - np.array(v) == 0).T.tolist()
-        cols = _lexi_cascade(tight, [False] * m, row_of_col, n)[:n]
+        dummies = iter(range(n, m))
+        row_of_col = [i if i >= 0 else next(dummies) for i in row_of_col]
+        v = np.array(v)
+        tight = np.empty((m, m), bool)
+        tight[:, :n] = (cost - np.array(u)[:, None] - v == 0).T
+        tight[:, n:] = (v == 0)[:, None]
+        cols = _lexi_cascade(tight.tolist(), [False] * m, row_of_col, n)[:n]
     idx = np.array(cols)
     hit = idx >= 0
     objective = int(r[hit, idx[hit]].sum() - k[~hit].sum())

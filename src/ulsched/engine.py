@@ -146,6 +146,9 @@ def validate(cfg: ScenarioConfig) -> None:
         raise ConfigError("channel.alpha_pc must lie in (0, 1]")
     if ch.prb_per_rc <= 0 or ch.n_prb_data % ch.prb_per_rc != 0:
         raise ConfigError("channel.n_prb_data must be a multiple of channel.prb_per_rc")
+    if ch.n_prb_data < ch.prb_per_rc:
+        raise ConfigError("channel.n_prb_data must hold at least one chunk of "
+                          "channel.prb_per_rc PRBs")
     if ch.n_prb_data > ch.n_prb_total:
         raise ConfigError("channel.n_prb_data cannot exceed channel.n_prb_total")
     if len(ch.cqi_thresholds_db) != 15 or list(ch.cqi_thresholds_db) != sorted(ch.cqi_thresholds_db):
@@ -263,6 +266,9 @@ def run(cfg: ScenarioConfig) -> MetricsSummary:
     sources = [] if arrival_trace is not None else _build_sources(cfg, n)
     if cfg.cqi_trace:
         trace = load_cqi_trace(cfg.cqi_trace, n, cfg.channel.rc_count)
+        if len(trace) < cfg.tti_count:
+            raise ConfigError(f"cqi_trace {cfg.cqi_trace} has {len(trace)} lines, "
+                              f"fewer than tti_count = {cfg.tti_count}")
         cqi_source = CqiSource(topo=None, cfg=None, trace=trace)
     else:
         fading = [np.random.default_rng([cfg.seed, 4, ue]) for ue in range(n)]

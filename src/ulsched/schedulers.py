@@ -161,7 +161,9 @@ def schedule_iterative_surplus(W: TrafficMatrixW, urgency=None,
     """Surplus-resource regime (n_ue < n_rc): repeat single-RC assignment
     rounds, rebuilding w from the depleted buffers, until every RC is granted
     or all buffers empty. The drop matrix is omitted; k shrinks by the bytes
-    granted (floor zero). Zero-buffer dummy users square the later rounds.
+    granted (floor zero). A round with fewer active users than remaining
+    RCs is solved on the real users alone; the zero-buffer dummy users that
+    would square it only enter solve through their implied duals.
     """
     n, m = W.n_ues, W.n_rcs
     k, _ = _k_vectors(urgency, n)

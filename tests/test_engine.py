@@ -1,5 +1,7 @@
 """Engine tests: deployment, determinism, conservation, fixtures, sweep."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,25 @@ def test_validate_rejects_voice_load_below_sid_floor():
         validate(cfg)
     assert "loads_mbps.voice" in str(err.value)
     validate(ScenarioConfig(n_ues=20, loads_mbps={VOICE: 0.01, VIDEO: 1.0, DATA: 1.0}))
+
+
+def test_validate_rejects_channel_without_a_chunk():
+    from ulsched.channel import ChannelConfig
+    with pytest.raises(ConfigError) as err:
+        validate(ScenarioConfig(policy="darts", n_ues=4, channel=ChannelConfig(n_prb_data=0)))
+    assert "channel.n_prb_data" in str(err.value)
+
+
+def test_short_cqi_trace_is_rejected_before_tti_0(tmp_path):
+    trace = tmp_path / "cqi.txt"
+    n_rc = ScenarioConfig().channel.rc_count
+    trace.write_text((" ".join(["7"] * (3 * n_rc)) + "\n") * 5)
+    cfg = ScenarioConfig(policy="dham", tti_count=50, n_ues=3, cqi_trace=str(trace))
+    with pytest.raises(ConfigError) as err:
+        run(cfg)
+    msg = str(err.value)
+    assert str(trace) in msg and "5 lines" in msg and "tti_count = 50" in msg
+    run(replace(cfg, tti_count=5))
 
 
 def test_arrival_trace_rejects_bad_ue_and_size(tmp_path):

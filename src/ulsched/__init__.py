@@ -37,10 +37,8 @@ from .schedulers import (
     TrafficMatrixW,
     build_traffic_matrix,
     compute_drop_matrix,
-    dafs_metric,
     dispatch,
     schedule_darts,
-    schedule_dham,
     schedule_iterative_surplus,
 )
 from .traffic import (
@@ -48,7 +46,6 @@ from .traffic import (
     DataSource,
     Packet,
     UeBuffer,
-    UrgencyReport,
     VIDEO,
     VOICE,
     VideoSource,

@@ -19,6 +19,7 @@ from pathlib import Path
 from .engine import ConfigError, ScenarioConfig, run, sweep, validate
 from .golden import format_trace, verify_scenario
 from .metrics import summary_row, write_summary_csv, write_trace_csv
+from .schedulers import POLICIES
 
 EXAMPLES = ("table3", "table4", "table5", "sec2-objective")
 
@@ -40,8 +41,7 @@ def _build_parser():
         p.add_argument("--config", default=_env("CONFIG"),
                        help="scenario config JSON (defaults apply if omitted)")
         p.add_argument("--seed", type=int, default=_env("SEED", int))
-        p.add_argument("--policy", choices=("dham", "darts", "dafs"),
-                       default=_env("POLICY"))
+        p.add_argument("--policy", choices=POLICIES, default=_env("POLICY"))
         p.add_argument("--ue-policy", choices=("strict", "flip"),
                        default=_env("UE_POLICY"))
         p.add_argument("--ttis", type=int, default=_env("TTIS", int))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import ChannelConfig, CqiSource, Topology, load_cqi_trace
 from .metrics import MetricsCollector, MetricsSummary, summary_row, worst_user
-from .schedulers import build_traffic_matrix, dispatch
+from .schedulers import POLICIES, build_traffic_matrix, dispatch
 from .traffic import (
     CLASSES,
     DATA,
@@ -119,8 +119,8 @@ class ScenarioConfig:
 def validate(cfg: ScenarioConfig) -> None:
     """Reject invalid scenarios before TTI 0; error messages name the
     offending configuration key."""
-    if cfg.policy not in ("dham", "darts", "dafs"):
-        raise ConfigError(f"policy must be dham|darts|dafs, got {cfg.policy!r}")
+    if cfg.policy not in POLICIES:
+        raise ConfigError(f"policy must be {'|'.join(POLICIES)}, got {cfg.policy!r}")
     if cfg.ue_policy not in ("strict", "flip"):
         raise ConfigError(f"ue_policy must be strict|flip, got {cfg.ue_policy!r}")
     if cfg.tti_count < 1:
@@ -137,8 +137,8 @@ def validate(cfg: ScenarioConfig) -> None:
     for cls in CLASSES:
         if cfg.loads_mbps.get(cls, 0.0) < 0:
             raise ConfigError(f"loads_mbps.{cls} must be nonnegative")
-    if cfg.buffer_threshold >= cfg.buffer_capacity:
-        raise ConfigError("buffer_threshold must be below buffer_capacity")
+    if not 0 <= cfg.buffer_threshold < cfg.buffer_capacity:
+        raise ConfigError("buffer_threshold must be nonnegative and below buffer_capacity")
     if cfg.buffer_capacity <= 0:
         raise ConfigError("buffer_capacity must be positive")
     ch = cfg.channel
@@ -153,6 +153,14 @@ def validate(cfg: ScenarioConfig) -> None:
         raise ConfigError("channel.n_prb_data cannot exceed channel.n_prb_total")
     if len(ch.cqi_thresholds_db) != 15 or list(ch.cqi_thresholds_db) != sorted(ch.cqi_thresholds_db):
         raise ConfigError("channel.cqi_thresholds_db must be 15 nondecreasing values")
+    for key, default in (("voice_params", _default_voice_params),
+                         ("video_params", _default_video_params),
+                         ("data_params", _default_data_params)):
+        given, known = getattr(cfg, key), default()
+        bad = sorted(set(given) ^ set(known))
+        if bad:
+            what = "is not a known key" if bad[0] in given else "is missing"
+            raise ConfigError(f"{key}.{bad[0]} {what}")
     if cfg.history_window < 1:
         raise ConfigError("history_window must be at least 1")
     for key in ("voice_deadline_ms", "video_deadline_ms"):
@@ -291,14 +299,15 @@ def run(cfg: ScenarioConfig) -> MetricsSummary:
                     if pkts:
                         buffers[ue].enqueue(pkts)
         drops = [buf.age_and_drop(tti) for buf in buffers]
-        if cfg.policy == "dham":
-            reports = None
-        else:
-            reports = [compute_urgency(buf, tti, urgency_mode) for buf in buffers]
+        k = k_current = None
+        if cfg.policy != "dham":
+            urgency = [compute_urgency(buf, tti, urgency_mode) for buf in buffers]
+            k, k_current = np.array(urgency, dtype=np.int64).reshape(n, 2).T
         if n:
             grid = cqi_source.grid(tti)
-            W = build_traffic_matrix(grid, buffers)
-            decision = dispatch(cfg.policy, W, reports)
+            b = np.array([buf.total for buf in buffers], dtype=np.int64)
+            W = build_traffic_matrix(grid, b)
+            decision = dispatch(cfg.policy, W, k, k_current)
         else:
             decision = None
         drains = [None] * n

@@ -283,24 +283,6 @@ class DataSource:
 # per-UE buffer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UrgencyReport:
-    """Snapshot of how many bytes a UE stands to lose this TTI.
-
-    k is the scheduler-facing urgency (current critical bytes plus the drop
-    history window); k_current excludes the history term and is what the
-    per-chunk drop matrix is built from.
-    """
-
-    k: int
-    k_current: int
-    m_vo: int
-    m_vi: int
-    m_d: int
-    b: int
-    history_sum: int
-
-
 class UeBuffer:
     """Three per-class FIFO queues with byte capacity, deadline enforcement
     for the real-time classes, and drop-history tracking."""
@@ -386,19 +368,18 @@ class UeBuffer:
         return True
 
 
-def compute_urgency(buf: UeBuffer, tti: int, mode: str = "single_class") -> UrgencyReport:
-    """Urgency snapshot for one UE; age_and_drop must already have run this
-    TTI. single_class counts only deadline-critical bytes; mixed adds the
-    buffer build-up above the threshold as the data component."""
+def compute_urgency(buf: UeBuffer, tti: int, mode: str = "single_class") -> tuple[int, int]:
+    """Urgency of one UE as (k, k_current); age_and_drop must already have
+    run this TTI. k_current is the bytes crossing their deadline by the next
+    TTI (single_class), plus the buffer build-up above the threshold as the
+    data component (mixed); the drop matrix is built from it. k, the
+    scheduler-facing penalty, adds the drop history window."""
     if mode not in ("single_class", "mixed"):
         raise TrafficError(f"unknown urgency mode: {mode}")
-    m_vo = buf.critical_bytes(tti, VOICE)
-    m_vi = buf.critical_bytes(tti, VIDEO)
-    m_d = max(0, buf.total - buf.threshold) if mode == "mixed" else 0
-    k_current = m_vo + m_vi + m_d
-    return UrgencyReport(k=k_current + buf.history_sum, k_current=k_current,
-                         m_vo=m_vo, m_vi=m_vi, m_d=m_d, b=buf.total,
-                         history_sum=buf.history_sum)
+    k_current = buf.critical_bytes(tti, VOICE) + buf.critical_bytes(tti, VIDEO)
+    if mode == "mixed":
+        k_current += max(0, buf.total - buf.threshold)
+    return k_current + buf.history_sum, k_current
 
 
 # ---------------------------------------------------------------------------

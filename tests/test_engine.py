@@ -26,6 +26,34 @@ def test_validate_rejects_bad_threshold():
     assert "buffer_threshold" in str(err.value)
 
 
+def test_validate_rejects_negative_threshold():
+    # a negative threshold made the dafs data urgency m_d count more bytes
+    # than the buffer holds
+    cfg = ScenarioConfig(policy="dafs", buffer_threshold=-100)
+    with pytest.raises(ConfigError) as err:
+        validate(cfg)
+    assert "buffer_threshold" in str(err.value)
+    validate(replace(cfg, buffer_threshold=0))
+
+
+def test_validate_rejects_source_params_with_other_keys():
+    # an unknown key used to raise TypeError inside DataSource, a partial
+    # video_params KeyError: 'packets_per_frame', both only inside run()
+    cfg = ScenarioConfig(tti_count=5, n_ues=2)
+    data = dict(cfg.data_params, bogus=1)
+    video = {k: v for k, v in cfg.video_params.items() if k != "packets_per_frame"}
+    voice = {k: v for k, v in cfg.voice_params.items() if k != "sid_bytes"}
+    for key, params, name in (("data_params", data, "data_params.bogus"),
+                              ("video_params", video, "video_params.packets_per_frame"),
+                              ("voice_params", voice, "voice_params.sid_bytes")):
+        bad = replace(cfg, **{key: params})
+        for check in (validate, run):
+            with pytest.raises(ConfigError) as err:
+                check(bad)
+            assert name in str(err.value)
+    validate(replace(cfg, video_params=dict(cfg.video_params, size_max=200.0)))
+
+
 def test_validate_rejects_bad_keys_and_values():
     from ulsched.channel import ChannelConfig
     with pytest.raises(ConfigError):

@@ -9,17 +9,15 @@ import pytest
 
 from ulsched.assignment import brute_force_assignment, replicate_penalty_dummies, solve
 from ulsched.schedulers import (
+    POLICIES,
     SchedulerError,
     TrafficMatrixW,
     build_traffic_matrix,
     compute_drop_matrix,
-    dafs_metric,
     dispatch,
     schedule_darts,
-    schedule_dham,
     schedule_iterative_surplus,
 )
-from ulsched.traffic import UrgencyReport
 
 
 def _w(w, b=None, p=None):
@@ -31,12 +29,6 @@ def _w(w, b=None, p=None):
     if b is None:
         b = w.max(axis=1)
     return TrafficMatrixW(w=w, p=p, b=np.asarray(b, dtype=np.int64))
-
-
-def _report(k, k_current=None, b=10**6):
-    kc = k if k_current is None else k_current
-    return UrgencyReport(k=k, k_current=kc, m_vo=kc, m_vi=0, m_d=0, b=b,
-                         history_sum=k - kc)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +92,7 @@ def test_folded_solver_equals_literal_pipeline():
 
 def test_dham_schedules_largest_w():
     W = build_traffic_matrix(np.array([[7], [12], [6]]), [400, 300, 260])
-    dec = schedule_dham(W)
+    dec = dispatch("dham", W)
     assert dec.rc_to_ue == (0,)
     assert dec.grants[0] == 400
     assert dec.objective == 400
@@ -108,7 +100,7 @@ def test_dham_schedules_largest_w():
 
 def test_dham_empty_buffers_means_no_assignment():
     W = build_traffic_matrix(np.array([[7], [12], [6]]), [0, 0, 0])
-    dec = schedule_dham(W)
+    dec = dispatch("dham", W)
     assert dec.rc_to_ue == (None,)
     assert dec.total_grant == 0
     assert dec.objective == 0
@@ -122,9 +114,9 @@ def test_dham_matches_brute_force_matching():
         b = rng.integers(0, 900, size=n)
         p = rng.choice([252, 504, 756], size=(n, m))
         W = _w(np.minimum(p, b[:, None]), b=b, p=p)
-        dec = schedule_dham(W)
+        _cols, objective = solve(W.w[b > 0])
         best = _brute_best_w(W.w, min(m, int((b > 0).sum())))
-        assert dec.objective == best
+        assert objective == best
 
 
 def _brute_best_w(w, slots):
@@ -174,7 +166,7 @@ def test_darts_zero_k_reduces_to_dham():
         W = _w(np.minimum(p, b[:, None]), b=b, p=p)
         zk = np.zeros(n, dtype=np.int64)
         darts = schedule_darts(W, zk)
-        dham = schedule_dham(W)
+        dham = dispatch("dham", W)
         assert darts.rc_to_ue == dham.rc_to_ue
         assert np.array_equal(darts.grants, dham.grants)
 
@@ -265,19 +257,8 @@ def test_surplus_grants_never_exceed_buffer():
 
 
 # ---------------------------------------------------------------------------
-# dafs metric / dispatch
+# dispatch
 # ---------------------------------------------------------------------------
-
-def test_dafs_metric_values():
-    reports = [
-        UrgencyReport(k=0, k_current=0, m_vo=0, m_vi=0, m_d=0, b=0, history_sum=0),
-        UrgencyReport(k=1180, k_current=1180, m_vo=100, m_vi=80, m_d=1000,
-                      b=5000, history_sum=0),
-        UrgencyReport(k=500, k_current=0, m_vo=0, m_vi=0, m_d=0, b=10,
-                      history_sum=500),
-    ]
-    assert dafs_metric(reports).tolist() == [0, 1180, 500]
-
 
 def test_dispatch_determinism_and_regimes():
     rng = np.random.default_rng(17)
@@ -288,13 +269,49 @@ def test_dispatch_determinism_and_regimes():
         p = rng.choice([252, 504, 756], size=(n, m))
         W = TrafficMatrixW(w=np.minimum(p, b[:, None]), p=p, b=b)
         k = rng.integers(0, 600, size=n)
-        reports = [_report(int(x)) for x in k]
         for policy in ("dham", "darts", "dafs"):
-            d1 = dispatch(policy, W, reports)
-            d2 = dispatch(policy, W, reports)
+            d1 = dispatch(policy, W, k)
+            d2 = dispatch(policy, W, k)
             assert d1.rc_to_ue == d2.rc_to_ue
             assert np.array_equal(d1.grants, d2.grants)
             assert np.all(d1.grants <= np.minimum(W.p.max(axis=1) * max(1, m), W.b))
             for ue, rcs in enumerate(d1.ue_rcs):
                 if b[ue] == 0:
                     assert rcs == ()  # idle users never hold a chunk
+
+
+def test_dispatch_equals_the_policy_on_the_active_rows():
+    """Idle UEs (b = 0) take no part in a decision, whatever their k: dispatch
+    equals schedule_darts (active >= RCs) or schedule_iterative_surplus
+    (active < RCs) run on the active sub-matrix and mapped back."""
+    rng = np.random.default_rng(31)
+    regimes = set()
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        m = int(rng.integers(1, 6))
+        b = rng.integers(1, 1500, size=n)
+        b[rng.random(n) < 0.4] = 0
+        p = rng.choice([252, 504, 756], size=(n, m))
+        W = TrafficMatrixW(w=np.minimum(p, b[:, None]), p=p, b=b)
+        k = rng.integers(0, 600, size=n)
+        k[b == 0] = 10**6  # a large history penalty on every idle UE
+        k_cur = np.minimum(k, rng.integers(0, 600, size=n))
+        active = np.flatnonzero(b > 0)
+        sub = TrafficMatrixW(w=W.w[active], p=p[active], b=b[active])
+        for policy in POLICIES:
+            kk, kc = (0 * k, 0 * k) if policy == "dham" else (k, k_cur)
+            got = dispatch(policy, W, k, k_cur)
+            if len(active) < m:
+                regimes.add("surplus")
+                want = schedule_iterative_surplus(sub, kk[active])
+            else:
+                regimes.add("square" if len(active) == m else "penalty")
+                want = schedule_darts(sub, kk[active],
+                                      d=compute_drop_matrix(kc[active], sub))
+            grants = np.zeros(n, dtype=np.int64)
+            grants[active] = want.grants
+            assert np.array_equal(got.grants, grants)
+            assert got.rc_to_ue == tuple(None if x is None else active[x]
+                                         for x in want.rc_to_ue)
+            assert got.objective == want.objective
+    assert regimes == {"penalty", "square", "surplus"}

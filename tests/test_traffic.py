@@ -187,14 +187,13 @@ def test_compute_urgency_single_class():
     buf = UeBuffer()
     buf.enqueue([make_packet(VOICE, 255, 0)])
     buf.age_and_drop(50)
-    rep = compute_urgency(buf, 50, "single_class")
-    assert rep.k == 255  # crosses the deadline by the next TTI
-    assert rep.k_current == 255
+    # (k, k_current): the 255 bytes cross the deadline by the next TTI
+    assert compute_urgency(buf, 50, "single_class") == (255, 255)
 
     empty = UeBuffer()
     empty.age_and_drop(0)
-    rep2 = compute_urgency(empty, 0, "single_class")
-    assert rep2.k == 0 and rep2.b == 0
+    assert compute_urgency(empty, 0, "single_class") == (0, 0)
+    assert empty.total == 0
 
 
 def test_compute_urgency_mixed_components():
@@ -207,11 +206,12 @@ def test_compute_urgency_mixed_components():
     buf2.enqueue([make_packet(VIDEO, 80, -100)])
     buf2.enqueue([make_packet(DATA, 4820, 0)])
     buf2.age_and_drop(50)
-    rep = compute_urgency(buf2, 50, "mixed")
-    assert rep.m_vo == 100   # voice at exactly the deadline
-    assert rep.m_vi == 80    # video at exactly the deadline (arrived -100)
-    assert rep.m_d == 5000 - 4000
-    assert rep.k == 100 + 80 + 1000
+    assert buf2.critical_bytes(50, VOICE) == 100  # voice at exactly the deadline
+    assert buf2.critical_bytes(50, VIDEO) == 80   # video at exactly the deadline (arrived -100)
+    assert buf2.history_sum == 0
+    assert compute_urgency(buf2, 50, "single_class") == (180, 180)
+    # mixed adds m_d = 5000 - 4000
+    assert compute_urgency(buf2, 50, "mixed") == (100 + 80 + 1000, 100 + 80 + 1000)
 
 
 def test_compute_urgency_pure():
@@ -233,9 +233,9 @@ def test_history_window_accumulation():
         buf.enqueue([make_packet(VOICE, 10, tti)])
         d = buf.age_and_drop(tti)
         drops.append(d[VOICE] + d[VIDEO])
-        rep = compute_urgency(buf, tti, "single_class")
-        assert rep.history_sum == sum(drops[-5:])
-        assert rep.k == rep.k_current + sum(drops[-5:])
+        k, k_current = compute_urgency(buf, tti, "single_class")
+        assert buf.history_sum == sum(drops[-5:])
+        assert k == k_current + sum(drops[-5:])
 
 
 def test_conservation_identity_random_traffic():

@@ -123,6 +123,8 @@ def validate(cfg: ScenarioConfig) -> None:
         raise ConfigError(f"policy must be {'|'.join(POLICIES)}, got {cfg.policy!r}")
     if cfg.ue_policy not in ("strict", "flip"):
         raise ConfigError(f"ue_policy must be strict|flip, got {cfg.ue_policy!r}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
     if cfg.tti_count < 1:
         raise ConfigError("tti_count must be at least 1")
     if cfg.ue_mode not in ("fixed", "ppp"):
@@ -137,10 +139,10 @@ def validate(cfg: ScenarioConfig) -> None:
     for cls in CLASSES:
         if cfg.loads_mbps.get(cls, 0.0) < 0:
             raise ConfigError(f"loads_mbps.{cls} must be nonnegative")
-    if not 0 <= cfg.buffer_threshold < cfg.buffer_capacity:
-        raise ConfigError("buffer_threshold must be nonnegative and below buffer_capacity")
     if cfg.buffer_capacity <= 0:
         raise ConfigError("buffer_capacity must be positive")
+    if not 0 <= cfg.buffer_threshold < cfg.buffer_capacity:
+        raise ConfigError("buffer_threshold must be nonnegative and below buffer_capacity")
     ch = cfg.channel
     if not 0 < ch.alpha_pc <= 1:
         raise ConfigError("channel.alpha_pc must lie in (0, 1]")
@@ -151,6 +153,12 @@ def validate(cfg: ScenarioConfig) -> None:
                           "channel.prb_per_rc PRBs")
     if ch.n_prb_data > ch.n_prb_total:
         raise ConfigError("channel.n_prb_data cannot exceed channel.n_prb_total")
+    if ch.shadowing_sigma_db < 0:
+        raise ConfigError("channel.shadowing_sigma_db must be nonnegative")
+    if ch.cell_radius_m < ch.min_ue_distance_m:
+        raise ConfigError(f"channel.inter_site_distance_m = {ch.inter_site_distance_m} m gives a "
+                          f"cell radius (ISD/sqrt(3)) of {ch.cell_radius_m:.1f} m, below "
+                          f"channel.min_ue_distance_m = {ch.min_ue_distance_m} m")
     if len(ch.cqi_thresholds_db) != 15 or list(ch.cqi_thresholds_db) != sorted(ch.cqi_thresholds_db):
         raise ConfigError("channel.cqi_thresholds_db must be 15 nondecreasing values")
     for key, default in (("voice_params", _default_voice_params),
@@ -272,6 +280,8 @@ def run(cfg: ScenarioConfig) -> MetricsSummary:
                for _ in range(n)]
     arrival_trace = load_arrival_trace(cfg.arrival_trace, n) if cfg.arrival_trace else None
     sources = [] if arrival_trace is not None else _build_sources(cfg, n)
+    # (source, its UE's buffer), UE-major in source order: the enqueue order
+    feeds = [(src, buffers[ue]) for ue, gen in enumerate(sources) for src in gen]
     if cfg.cqi_trace:
         trace = load_cqi_trace(cfg.cqi_trace, n, cfg.channel.rc_count)
         if len(trace) < cfg.tti_count:
@@ -293,11 +303,11 @@ def run(cfg: ScenarioConfig) -> MetricsSummary:
             for ue, cls, size in arrival_trace.get(tti, ()):
                 buffers[ue].enqueue([make_packet(cls, size, tti)])
         else:
-            for ue in range(n):
-                for src in sources[ue]:
+            for src, buf in feeds:
+                if src.due <= tti:
                     pkts = src.step(tti)
                     if pkts:
-                        buffers[ue].enqueue(pkts)
+                        buf.enqueue(pkts)
         drops = [buf.age_and_drop(tti) for buf in buffers]
         k = k_current = None
         if cfg.policy != "dham":

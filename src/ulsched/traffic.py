@@ -4,8 +4,16 @@ Pareto on/off sources), plus the per-UE deadline-aware buffers and the
 urgency quantities the schedulers consume.
 
 All byte accounting is integral. Delays are measured in TTIs (1 ms).
+
+Every source has an integer `due`: the first TTI whose `step` can draw from
+the rng, accrue credit or emit a packet. Time starts at TTI 0 and TTIs are
+stepped in increasing order. A caller may skip any TTI before `due`, but
+must not skip `due` itself; stepping every TTI stays correct and yields the
+same packets, stamps and draws.
 """
 
+import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -64,10 +72,18 @@ def truncated_pareto_mean(scale, shape, maximum) -> float:
 # sources
 # ---------------------------------------------------------------------------
 
+NEVER = 2 ** 62          # the `due` of a source that never emits
+_UNIFORM_BLOCK = 16      # uniforms per voice rng call; every UE holds up to one block
+
+
 class VoiceSource:
     """Two-state Markov VoIP source: fixed-size packets every generation
     interval while talking, SID packets on a slower clock while silent.
-    Sojourn times are geometric with the configured means (in ms)."""
+    Sojourn times are geometric with the configured means (in ms).
+
+    Pacing credit accrues per TTI, so every TTI is due. The per-TTI state
+    flip tests take their uniforms from blocks of `rng.random(_UNIFORM_BLOCK)`,
+    which is the same stream as one `rng.random()` per test."""
 
     def __init__(self, rng, interval_ms=20.0, packet_bytes=40, sid_bytes=15,
                  sid_interval_ms=160.0, talk_mean_ms=3000.0, silence_mean_ms=3000.0,
@@ -86,10 +102,14 @@ class VoiceSource:
         # long-run rate equals talk_time/interval + silence_time/sid_interval
         self._talk_credit = interval_ms - 1.0
         self._sid_credit = sid_interval_ms - 1.0
+        self._uniforms = itertools.chain.from_iterable(
+            iter(lambda: rng.random(_UNIFORM_BLOCK).tolist(), None))
+        self.due = 0
 
     def step(self, tti: int):
+        self.due = tti + 1
         p_leave = self.p_leave_talk if self.talking else self.p_leave_silence
-        if p_leave and self.rng.random() < p_leave:
+        if p_leave and next(self._uniforms) < p_leave:
             self.talking = not self.talking
         out = []
         if self.talking:
@@ -119,7 +139,8 @@ class VoiceSource:
 class VideoSource:
     """Near-real-time video: frames on an exact-rate clock, each frame a
     burst of packets with truncated-Pareto sizes and inter-arrival times.
-    Undersized frames are scaled up to the minimum frame size."""
+    Undersized frames are scaled up to the minimum frame size. The source is
+    due at the TTI holding its next frame start or pending packet."""
 
     def __init__(self, rng, fps=15.0, packets_per_frame=8, min_frame_bytes=1500,
                  size_scale=40.0, size_shape=1.2, size_max=250.0,
@@ -135,6 +156,7 @@ class VideoSource:
         self.ia_params = (ia_scale_ms, ia_shape, ia_max_ms)
         self._next_frame_ms = 0.0
         self._pending = deque()  # (arrival_ms, size) within scheduled frames
+        self.due = 0
 
     def _emit_frame(self, start_ms: float):
         sizes = truncated_pareto_sample(*self.size_params, self.rng, size=self.packets_per_frame)
@@ -153,9 +175,12 @@ class VideoSource:
             self._emit_frame(self._next_frame_ms)
             self._next_frame_ms += self.frame_period_ms
         out = []
-        while self._pending and self._pending[0][0] < tti + 1.0:
-            _, size = self._pending.popleft()
+        pending = self._pending
+        while pending and pending[0][0] < tti + 1.0:
+            _, size = pending.popleft()
             out.append(make_packet(VIDEO, size, tti))
+        nxt = min(self._next_frame_ms, pending[0][0]) if pending else self._next_frame_ms
+        self.due = math.floor(nxt)
         return out
 
     def mean_frame_bytes(self) -> float:
@@ -186,7 +211,12 @@ def estimate_mean_frame_bytes(packets_per_frame, min_frame_bytes, size_scale,
 class OnOffSource:
     """Single Pareto on/off source: bytes accrue at `rate` during ON periods
     and are emitted as packets with uniform payload sizes. The partial-packet
-    credit persists across bursts so the long-run rate is exact."""
+    credit persists across bursts so the long-run rate is exact.
+
+    An OFF TTI that only counts `_remaining` down by 1.0 is not due: `due`
+    passes every such TTI, and the next `step_ms` subtracts the skipped TTIs
+    at once. That is exact, because subtracting 1.0 from a float of at least
+    1 is exact, so k single steps and one step of k give the same value."""
 
     def __init__(self, rng, rate_bytes_per_ms, on_mean_ms, off_mean_ms,
                  on_shape=1.4, off_shape=1.2, cap_factor=50.0,
@@ -205,6 +235,7 @@ class OnOffSource:
         self._remaining = self._draw_duration()
         self._credit = 0.0
         self._next_size = self._draw_size()
+        self._set_due(0)
 
     def _draw_duration(self) -> float:
         if self.on:
@@ -214,8 +245,26 @@ class OnOffSource:
     def _draw_size(self) -> int:
         return int(self.rng.integers(self.payload_min, self.payload_max + 1))
 
-    def step_ms(self) -> float:
-        """Advance one 1 ms TTI; returns bytes of credit accrued."""
+    def _set_due(self, now: int) -> None:
+        """`now` is the next TTI to step. In OFF, the steps at now + j only
+        subtract 1.0 while (_remaining - j) - 1.0 > 1e-12; `due` is now + the
+        first j where that fails."""
+        self._now = now
+        r = self._remaining
+        if self.on or r - 1.0 <= 1e-12:
+            self.due = now
+            return
+        whole = int(r)
+        self.due = now + whole - (1 if r - whole <= 1e-12 else 0)
+
+    def step_ms(self, tti: int) -> float:
+        """Advance over TTI `tti`, first catching up on the TTIs skipped since
+        the last step; returns bytes of credit accrued."""
+        if tti > self._now:
+            if tti > self.due:
+                raise TrafficError(f"on/off source stepped at TTI {tti}, "
+                                   f"past its due TTI {self.due}")
+            self._remaining -= tti - self._now
         t_left = 1.0
         accrued = 0.0
         while t_left > 1e-12:
@@ -228,6 +277,7 @@ class OnOffSource:
                 self.on = not self.on
                 self._remaining = self._draw_duration()
         self._credit += accrued
+        self._set_due(tti + 1)
         return accrued
 
     def take_packets(self, tti: int):
@@ -248,7 +298,9 @@ def _pareto_scale_for_mean(mean, shape, cap_factor) -> float:
 
 
 class DataSource:
-    """Self-similar data: aggregate of independent on/off sources."""
+    """Self-similar data: aggregate of independent on/off sources sharing one
+    rng. A step advances only the sources that are due, in source order, so
+    the draw order matches stepping all of them; `due` is their minimum."""
 
     def __init__(self, rng, offered_bps, n_sources=8, source_rate_bps=200_000.0,
                  on_mean_ms=6.0, on_shape=1.4, off_shape=1.2, cap_factor=50.0,
@@ -256,6 +308,7 @@ class DataSource:
         if offered_bps < 0:
             raise TrafficError("offered load must be nonnegative")
         self.sources = []
+        self.due = NEVER
         if offered_bps == 0 or n_sources == 0:
             return
         per_source = offered_bps / n_sources
@@ -270,12 +323,18 @@ class DataSource:
                 rng, rate_bytes_per_ms, on_mean_ms, off_mean,
                 on_shape=on_shape, off_shape=off_shape, cap_factor=cap_factor,
                 payload_min=payload_min, payload_max=payload_max))
+        self.due = min(src.due for src in self.sources)
 
     def step(self, tti: int):
         out = []
+        due = NEVER
         for src in self.sources:
-            src.step_ms()
-            out.extend(src.take_packets(tti))
+            if src.due <= tti:
+                src.step_ms(tti)
+                out.extend(src.take_packets(tti))
+            if src.due < due:
+                due = src.due
+        self.due = due
         return out
 
 

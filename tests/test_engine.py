@@ -62,6 +62,9 @@ def test_validate_rejects_bad_keys_and_values():
         validate(ScenarioConfig(loads_mbps={VOICE: -1.0}))
     with pytest.raises(ConfigError):
         validate(ScenarioConfig(tti_count=0))
+    with pytest.raises(ConfigError) as err:  # not blamed on the threshold below it
+        validate(ScenarioConfig(buffer_capacity=0, buffer_threshold=0))
+    assert str(err.value).startswith("buffer_capacity")
     with pytest.raises(ConfigError):
         validate(ScenarioConfig(channel=ChannelConfig(alpha_pc=0.0)))
     with pytest.raises(ConfigError):
@@ -92,6 +95,33 @@ def test_validate_rejects_channel_without_a_chunk():
     with pytest.raises(ConfigError) as err:
         validate(ScenarioConfig(policy="darts", n_ues=4, channel=ChannelConfig(n_prb_data=0)))
     assert "channel.n_prb_data" in str(err.value)
+
+
+def test_validate_rejects_negative_shadowing_sigma_and_seed():
+    # both used to fail inside numpy during deployment, naming no key
+    from ulsched.channel import ChannelConfig
+    cfg = ScenarioConfig(policy="dafs", n_ues=4, tti_count=30)
+    for bad, key in ((replace(cfg, channel=ChannelConfig(shadowing_sigma_db=-1.0)),
+                      "channel.shadowing_sigma_db"),
+                     (replace(cfg, seed=-1), "seed")):
+        for check in (validate, run):
+            with pytest.raises(ConfigError) as err:
+                check(bad)
+            assert key in str(err.value)
+    validate(replace(cfg, seed=0, channel=ChannelConfig(shadowing_sigma_db=0.0)))
+
+
+def test_validate_rejects_cell_radius_below_min_ue_distance():
+    # ISD 50 m gives a 28.9 m cell radius, below the 35 m minimum UE distance:
+    # deployment used to place UEs outside the cell disc without an error
+    from ulsched.channel import ChannelConfig
+    cfg = ScenarioConfig(policy="dafs", n_ues=4, tti_count=30,
+                         channel=ChannelConfig(inter_site_distance_m=50.0))
+    for check in (validate, run):
+        with pytest.raises(ConfigError) as err:
+            check(cfg)
+        assert "channel.inter_site_distance_m" in str(err.value)
+    validate(replace(cfg, channel=ChannelConfig(inter_site_distance_m=61.0)))
 
 
 def test_short_cqi_trace_is_rejected_before_tti_0(tmp_path):

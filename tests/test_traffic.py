@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ulsched.traffic import (
     DATA,
+    NEVER,
     DataSource,
+    OnOffSource,
     TrafficError,
     UeBuffer,
     VIDEO,
@@ -143,7 +146,111 @@ def test_data_rate_tracks_offered_load():
 
 def test_data_zero_sources():
     src = DataSource(np.random.default_rng(8), offered_bps=0)
+    assert src.due == NEVER
     assert [p for t in range(100) for p in src.step(t)] == []
+
+
+# ---------------------------------------------------------------------------
+# the due contract: a caller may skip every TTI before a source's `due`
+# ---------------------------------------------------------------------------
+
+def _emitted(src, ttis, only_due):
+    out = []
+    for t in range(ttis):
+        if only_due and src.due > t:
+            continue
+        out += [(t, p.cls, p.size) for p in src.step(t)]
+    return out
+
+
+class _Steps:
+    """An on/off source behind the source interface, for the property below."""
+
+    def __init__(self, src):
+        self.src = src
+
+    @property
+    def due(self):
+        return self.src.due
+
+    def step(self, tti):
+        self.src.step_ms(tti)
+        return self.src.take_packets(tti)
+
+
+_voice = st.builds(
+    lambda interval, talk, silence, talking: lambda rng: VoiceSource(
+        rng, interval_ms=interval, talk_mean_ms=talk, silence_mean_ms=silence,
+        start_talking=talking),
+    st.floats(0.3, 200.0), st.sampled_from([0.0, 1.0, 40.0, 3000.0]),
+    st.sampled_from([0.0, 1.0, 40.0, 3000.0]), st.booleans())
+# fps above 1000 puts several frames in one TTI
+_video = st.builds(
+    lambda fps, ppf: lambda rng: VideoSource(rng, fps=fps, packets_per_frame=ppf),
+    st.one_of(st.floats(0.5, 120.0), st.floats(1000.0, 4000.0)), st.integers(1, 8))
+# offered 0 builds no sources; above 100 kb/s per source the duty cycle would
+# pass 1/2 at the 200 kb/s peak, so DataSource raises the peak instead
+_data = st.builds(
+    lambda bps, n: lambda rng: DataSource(rng, offered_bps=bps, n_sources=n,
+                                          source_rate_bps=200_000.0),
+    st.one_of(st.just(0.0), st.floats(1e3, 5e6)), st.integers(0, 8))
+# a single on/off source takes any duty cycle, far above 1/2 included
+_onoff = st.builds(
+    lambda rate, on, off: lambda rng: _Steps(OnOffSource(rng, rate, on, off)),
+    st.floats(0.5, 400.0), st.floats(0.5, 50.0), st.floats(0.05, 400.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), make=st.one_of(_voice, _video, _data, _onoff),
+       ttis=st.integers(1, 1500))
+def test_stepping_only_at_due_ttis_changes_nothing(seed, make, ttis):
+    runs = []
+    for only_due in (False, True):
+        rng = np.random.default_rng(seed)
+        runs.append((_emitted(make(rng), ttis, only_due), rng.bit_generator.state))
+    (every, every_rng), (due, due_rng) = runs
+    assert due == every
+    assert due_rng == every_rng  # and no draw was skipped or added
+
+
+@pytest.mark.parametrize("remaining, due", [
+    (5.0, 4),             # lands exactly on 0.0 at TTI 4
+    (5.0 + 1e-13, 4),     # within 1e-12 of an integer: 1e-13 left at TTI 4 ends OFF
+    (5.0 + 5e-12, 5),     # 5e-12 left after TTI 4 is still OFF, so TTI 4 only counts down
+    (5.5, 5),
+    (2.0, 1),
+    (1.0 + 1e-13, 0),     # nothing to skip
+    (0.4, 0),
+])
+def test_off_countdown_due(remaining, due):
+    states = []
+    for only_due in (False, True):
+        src = OnOffSource(np.random.default_rng(3), 25.0, 6.0, 300.0)
+        src.on, src._remaining = False, remaining
+        src._set_due(0)
+        assert src.due == due
+        after = {}
+        for t in range(due + 40):
+            if only_due and src.due > t:
+                continue
+            before = src._remaining
+            src.step_ms(t)
+            after[t] = (src.on, src._remaining, src._credit, src.take_packets(t))
+            if not only_due and t < due:  # a skippable TTI only counts down by 1.0
+                assert after[t][:2] == (False, before - 1.0)
+        assert after[due][0]  # the due TTI ends the OFF period
+        states.append(after)
+    every, at_due = states
+    assert min(at_due) == due
+    assert all(at_due[t] == every[t] for t in at_due)
+
+
+def test_stepping_past_due_is_refused():
+    src = OnOffSource(np.random.default_rng(3), 25.0, 6.0, 300.0)
+    src.on, src._remaining = False, 10.0
+    src._set_due(0)
+    with pytest.raises(TrafficError):
+        src.step_ms(src.due + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ user per neighbor cell, then quantizes to CQI 1..15 and a byte capacity.
 
 import numpy as np
 
-from ulsched.channel import cqi_to_bytes_per_rc, path_loss, realize_cqi_grid
+from ulsched.channel import CqiSource, cqi_to_bytes_per_rc, path_loss
 from ulsched.engine import ScenarioConfig, deploy
 from ulsched.metrics import worst_user
 
@@ -28,9 +28,8 @@ print(f"worst user by coupling loss: ue {worst}")
 
 fading = [np.random.default_rng([cfg.seed, 4, u]) for u in range(topo.n_ues)]
 interference = np.random.default_rng([cfg.seed, 5])
-grids = [realize_cqi_grid(t, topo, cfg.channel, fading, interference)
-         for t in range(200)]
-cqi = np.stack(grids)
+source = CqiSource(topo, cfg.channel, fading, interference)
+cqi = np.stack([source.grid(t) for t in range(200)])  # one call per TTI, in order
 
 print(f"\nCQI over 200 TTIs x {cfg.channel.rc_count} chunks:")
 print(f"{'ue':>3} {'mean':>5} {'min':>4} {'max':>4} {'bytes/chunk':>12}")

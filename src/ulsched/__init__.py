@@ -24,8 +24,6 @@ from .channel import (
     cqi_to_bytes_per_rc,
     load_cqi_trace,
     path_loss,
-    realize_cqi_grid,
-    sinr,
     sinr_to_cqi,
     uplink_tx_power,
 )

@@ -4,6 +4,13 @@ from SINR to CQI to transmittable bytes per resource chunk.
 
 One resource chunk (RC) is prb_per_rc contiguous PRBs scheduled for one TTI.
 Channel quality is block fading: constant within a TTI, redrawn per TTI.
+
+`CqiSource` is the one realization path. It computes the static link terms
+once; each `grid` call (one per TTI, in TTI order) adds that TTI's Rayleigh
+fading and first-tier interference. Fading is drawn FADING_BLOCK_TTIS TTIs
+ahead per UE, which leaves the realization unchanged: every UE owns its
+fading generator, and `exponential(size=N)` yields the same values as N
+smaller draws in turn.
 """
 
 import math
@@ -12,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PRB_BANDWIDTH_HZ = 180e3  # 12 subcarriers x 15 kHz
+FADING_BLOCK_TTIS = 16  # TTIs of Rayleigh fading drawn per UE at a time
 
 
 class ChannelError(ValueError):
@@ -74,7 +82,7 @@ class Topology:
 def path_loss(distance_m) -> float:
     """Macro NLOS path loss in dB: 128.1 + 37.6 log10(d_km)."""
     d = np.asarray(distance_m, dtype=float)
-    if np.any(d <= 0):
+    if (d <= 0).any():
         raise ChannelError("distance must be positive")
     out = 128.1 + 37.6 * np.log10(d / 1000.0)
     return out.item() if out.ndim == 0 else out
@@ -101,11 +109,6 @@ def pc_estimate_db(topo: Topology, cfg: ChannelConfig):
     return path_loss(topo.ue_distance_m) + cfg.penetration_loss_db
 
 
-def coupling_loss_db(topo: Topology, cfg: ChannelConfig):
-    """Actual static link loss per UE: path loss + penetration + shadowing."""
-    return pc_estimate_db(topo, cfg) + topo.ue_shadow_db
-
-
 def _dbm_to_mw(dbm):
     return np.power(10.0, np.asarray(dbm, dtype=float) / 10.0)
 
@@ -114,41 +117,13 @@ def _mw_to_dbm(mw):
     return 10.0 * np.log10(mw)
 
 
-@dataclass(frozen=True)
-class SinrTerms:
-    """Per-term breakdown of one SINR evaluation, for trace recomputation."""
-
-    signal_dbm: float
-    noise_dbm: float
-    interference_dbm: tuple
-
-    def sinr_db(self) -> float:
-        denom = _dbm_to_mw(self.noise_dbm) + sum(_dbm_to_mw(p) for p in self.interference_dbm)
-        return self.signal_dbm - _mw_to_dbm(denom)
-
-
-def sinr(ue: int, rc: int, topo: Topology, fading_db: float, cfg: ChannelConfig,
-         interference_dbm=()) -> float:
-    """SINR in dB for one (UE, RC): received signal over thermal noise plus
-    the summed first-tier interference, combined in the linear domain."""
-    return sinr_terms(ue, rc, topo, fading_db, cfg, interference_dbm).sinr_db()
-
-
-def sinr_terms(ue: int, rc: int, topo: Topology, fading_db: float, cfg: ChannelConfig,
-               interference_dbm=()) -> SinrTerms:
-    ptx = uplink_tx_power(pc_estimate_db(topo, cfg)[ue], cfg.prb_per_rc, cfg)
-    signal = ptx - coupling_loss_db(topo, cfg)[ue] + fading_db
-    return SinrTerms(signal_dbm=float(signal), noise_dbm=cfg.noise_dbm_per_rc(),
-                     interference_dbm=tuple(float(p) for p in interference_dbm))
-
-
 def sinr_to_cqi(sinr_db, thresholds=None):
     """Piecewise-constant step map onto CQI 1..15; [t_k, t_{k+1}) -> k,
     clamped below t_1 to 1 and at or above t_15 to 15."""
     thr = np.asarray(thresholds if thresholds is not None else _default_cqi_thresholds())
     idx = np.searchsorted(thr, np.asarray(sinr_db, dtype=float), side="right")
-    out = np.clip(idx, 1, 15)
-    return int(out) if out.ndim == 0 else out.astype(np.int64)
+    out = np.minimum(np.maximum(idx, 1), 15)
+    return int(out) if out.ndim == 0 else out.astype(np.int64, copy=False)
 
 
 _CQI_BYTES = np.array([0, 252, 252, 252, 252, 252, 252, 504, 504, 504,
@@ -181,37 +156,16 @@ def draw_interference_dbm(topo: Topology, cfg: ChannelConfig, rng) -> np.ndarray
     transmitting under the same power-control law toward its own site.
     """
     n_rc = cfg.rc_count
-    centers = topo.neighbor_centers[:, None, :]  # (6, 1, 2)
     d_own = topo.cell_radius_m * np.sqrt(rng.uniform(0.0, 1.0, size=(6, n_rc)))
     d_own = np.maximum(d_own, cfg.min_ue_distance_m)
     theta = rng.uniform(0.0, 2.0 * math.pi, size=(6, n_rc))
-    pos = centers + np.stack([d_own * np.cos(theta), d_own * np.sin(theta)], axis=-1)
-    d_serving = np.maximum(np.hypot(pos[..., 0], pos[..., 1]), cfg.min_ue_distance_m)
+    x = topo.neighbor_centers[:, 0, None] + d_own * np.cos(theta)
+    y = topo.neighbor_centers[:, 1, None] + d_own * np.sin(theta)
+    d_serving = np.maximum(np.hypot(x, y), cfg.min_ue_distance_m)
     ptx = uplink_tx_power(path_loss(d_own) + cfg.penetration_loss_db,
                           cfg.prb_per_rc, cfg)
     shadow_serving = rng.normal(0.0, cfg.shadowing_sigma_db, size=(6, n_rc))
     return ptx - (path_loss(d_serving) + cfg.penetration_loss_db + shadow_serving)
-
-
-def realize_cqi_grid(tti: int, topo: Topology, cfg: ChannelConfig,
-                     fading_rngs, interference_rng) -> np.ndarray:
-    """CQI grid (n_ue, rc_count) for one TTI.
-
-    fading_rngs holds one generator per UE so adding a UE never perturbs the
-    draws of the others; interference placement uses its own stream. Grids
-    are deterministic for a fixed master seed and TTI sequence.
-    """
-    n_ue = topo.n_ues
-    n_rc = cfg.rc_count
-    ptx = uplink_tx_power(pc_estimate_db(topo, cfg), cfg.prb_per_rc, cfg)
-    signal = (ptx - coupling_loss_db(topo, cfg))[:, None]  # (n_ue, 1)
-    if cfg.fast_fading:
-        fading = np.stack([rayleigh_fading_db(fading_rngs[u], n_rc) for u in range(n_ue)])
-        signal = signal + fading
-    interference_mw = _dbm_to_mw(draw_interference_dbm(topo, cfg, interference_rng)).sum(axis=0)
-    denom_dbm = _mw_to_dbm(_dbm_to_mw(cfg.noise_dbm_per_rc()) + interference_mw)  # (n_rc,)
-    sinr_db = signal - denom_dbm[None, :]
-    return sinr_to_cqi(sinr_db, cfg.cqi_thresholds_db)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +194,16 @@ def load_cqi_trace(path, n_ue: int, n_rc: int) -> np.ndarray:
 
 
 class CqiSource:
-    """Per-TTI CQI grids, either realized from the geometric model or
-    replayed verbatim from a trace file (the model is then never consulted)."""
+    """Per-TTI CQI grids (n_ue, rc_count), realized from the geometric model
+    or replayed verbatim from a trace file (the model is then never consulted).
+
+    In model mode, call `grid` once per TTI in TTI order: the k-th call
+    returns the k-th TTI's grid whatever `tti` says. fading_rngs holds one
+    generator per UE, so adding a UE never perturbs the draws of the others;
+    interference placement uses its own stream, drawn per call. Each UE's
+    fading is drawn FADING_BLOCK_TTIS TTIs ahead; the grids are the same as
+    with per-TTI draws, deterministic for a fixed master seed.
+    """
 
     def __init__(self, topo, cfg, fading_rngs=None, interference_rng=None, trace=None):
         self._topo = topo
@@ -249,9 +211,31 @@ class CqiSource:
         self._fading_rngs = fading_rngs
         self._interference_rng = interference_rng
         self._trace = trace
+        if trace is None:
+            self._calls = 0
+            pc = pc_estimate_db(topo, cfg)
+            ptx = uplink_tx_power(pc, cfg.prb_per_rc, cfg)
+            self._signal = (ptx - (pc + topo.ue_shadow_db))[:, None]  # (n_ue, 1) dBm
+            self._noise_mw = _dbm_to_mw(cfg.noise_dbm_per_rc())
+            self._thresholds = np.asarray(cfg.cqi_thresholds_db)
+            # signal plus fading, refilled in place every FADING_BLOCK_TTIS calls
+            self._faded = np.empty((FADING_BLOCK_TTIS, topo.n_ues, cfg.rc_count))
 
     def grid(self, tti: int) -> np.ndarray:
         if self._trace is not None:
             return self._trace[min(tti, len(self._trace) - 1)]
-        return realize_cqi_grid(tti, self._topo, self._cfg,
-                                self._fading_rngs, self._interference_rng)
+        cfg = self._cfg
+        signal = self._signal
+        if cfg.fast_fading:
+            i = self._calls % FADING_BLOCK_TTIS
+            self._calls += 1
+            if i == 0:
+                shape = (FADING_BLOCK_TTIS, cfg.rc_count)
+                for u in range(self._topo.n_ues):
+                    self._faded[:, u] = rayleigh_fading_db(self._fading_rngs[u], shape)
+                self._faded += signal
+            signal = self._faded[i]
+        interference_mw = _dbm_to_mw(
+            draw_interference_dbm(self._topo, cfg, self._interference_rng)).sum(axis=0)
+        sinr_db = signal - _mw_to_dbm(self._noise_mw + interference_mw)[None, :]
+        return sinr_to_cqi(sinr_db, self._thresholds)

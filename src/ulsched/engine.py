@@ -144,6 +144,10 @@ def validate(cfg: ScenarioConfig) -> None:
     if not 0 <= cfg.buffer_threshold < cfg.buffer_capacity:
         raise ConfigError("buffer_threshold must be nonnegative and below buffer_capacity")
     ch = cfg.channel
+    for key, value in vars(ch).items():
+        values = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise ConfigError(f"channel.{key} must be finite, got {value}")
     if not 0 < ch.alpha_pc <= 1:
         raise ConfigError("channel.alpha_pc must lie in (0, 1]")
     if ch.prb_per_rc <= 0 or ch.n_prb_data % ch.prb_per_rc != 0:
@@ -155,6 +159,8 @@ def validate(cfg: ScenarioConfig) -> None:
         raise ConfigError("channel.n_prb_data cannot exceed channel.n_prb_total")
     if ch.shadowing_sigma_db < 0:
         raise ConfigError("channel.shadowing_sigma_db must be nonnegative")
+    if ch.min_ue_distance_m <= 0:
+        raise ConfigError("channel.min_ue_distance_m must be positive")
     if ch.cell_radius_m < ch.min_ue_distance_m:
         raise ConfigError(f"channel.inter_site_distance_m = {ch.inter_site_distance_m} m gives a "
                           f"cell radius (ISD/sqrt(3)) of {ch.cell_radius_m:.1f} m, below "

@@ -1,5 +1,6 @@
 """Engine tests: deployment, determinism, conservation, fixtures, sweep."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -122,6 +123,36 @@ def test_validate_rejects_cell_radius_below_min_ue_distance():
             check(cfg)
         assert "channel.inter_site_distance_m" in str(err.value)
     validate(replace(cfg, channel=ChannelConfig(inter_site_distance_m=61.0)))
+
+
+def test_validate_rejects_non_finite_channel_floats():
+    # p_max_dbm = nan made every CQI 15 and noise_figure_db = inf every CQI 1,
+    # and both runs finished without an error
+    from ulsched.channel import ChannelConfig
+    cfg = ScenarioConfig(policy="darts", n_ues=4, tti_count=30)
+    for key, value in (("p_max_dbm", math.nan), ("noise_figure_db", math.inf),
+                       ("thermal_noise_dbm_hz", -math.inf), ("bandwidth_hz", math.nan),
+                       ("cqi_thresholds_db", (math.nan,) * 15)):
+        bad = replace(cfg, channel=replace(ChannelConfig(), **{key: value}))
+        for check in (validate, run):
+            with pytest.raises(ConfigError) as err:
+                check(bad)
+            assert f"channel.{key}" in str(err.value)
+
+
+def test_validate_rejects_nonpositive_min_ue_distance():
+    # ISD 0 with a 0 m minimum failed inside path_loss ("distance must be
+    # positive", no key named); a 0 m minimum also lets an interferer land at
+    # d = 0 in the middle of a run
+    from ulsched.channel import ChannelConfig
+    cfg = ScenarioConfig(policy="darts", n_ues=4, tti_count=30)
+    for channel in (ChannelConfig(inter_site_distance_m=0.0, min_ue_distance_m=0.0),
+                    ChannelConfig(min_ue_distance_m=-1.0)):
+        for check in (validate, run):
+            with pytest.raises(ConfigError) as err:
+                check(replace(cfg, channel=channel))
+            assert "channel.min_ue_distance_m" in str(err.value)
+    validate(replace(cfg, channel=ChannelConfig(min_ue_distance_m=1.0)))
 
 
 def test_short_cqi_trace_is_rejected_before_tti_0(tmp_path):

@@ -14,7 +14,7 @@ from ulsched.assignment import (
     brute_force_assignment,
     pad_with_zero_dummies,
     replicate_penalty_dummies,
-    solve_max_assignment,
+    solve,
 )
 
 w = np.array([[400], [300], [252]])
@@ -25,8 +25,8 @@ print()
 print("zero-dummy squaring (throughput-only view):")
 sq = pad_with_zero_dummies(w)
 print(sq)
-sol = solve_max_assignment(sq)
-print(f"assignment {sol.mapping}, objective {sol.objective} "
+cols, obj = solve(sq)
+print(f"assignment {cols}, objective {obj} "
       "(user 1 wins the real chunk, users 2 and 3 idle)")
 
 print()
@@ -35,10 +35,11 @@ print(f"imminent-drop bytes k = {k}")
 sq_pen = replicate_penalty_dummies(w, k)
 print("penalty-replicated squaring (each dummy column = -k):")
 print(sq_pen)
-sol_pen = solve_max_assignment(sq_pen)
-winner = sol_pen.mapping.index(0)
-print(f"assignment {sol_pen.mapping}, objective {sol_pen.objective} "
+cols_pen, obj_pen = solve(sq_pen)
+winner = cols_pen.index(0)
+print(f"assignment {cols_pen}, objective {obj_pen} "
       f"(user {winner + 1} now wins: rescuing 255 bytes beats raw throughput)")
+print(f"solve(w, k) on the rectangle itself: {solve(w, k)} (-1: no chunk)")
 
 print()
 print("cross-check against full permutation enumeration on random instances:")
@@ -47,8 +48,9 @@ worst = 0
 for trial in range(200):
     n = int(rng.integers(2, 8))
     m = rng.integers(-999, 1000, size=(n, n))
-    a = solve_max_assignment(m)
+    a = solve(m)
     b = brute_force_assignment(m)
-    assert a.objective == b.objective, (trial, a, b)
+    assert a == b, (trial, a, b)
     worst = max(worst, n)
-print(f"200 random square instances up to {worst}x{worst}: solver == brute force")
+print(f"200 random square instances up to {worst}x{worst}: solve == brute force, "
+      "ties included")

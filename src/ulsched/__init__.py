@@ -9,13 +9,11 @@ engine with fairness and drop metrics.
 """
 
 from .assignment import (
-    Assignment,
     AssignmentError,
     brute_force_assignment,
     pad_with_zero_dummies,
     replicate_penalty_dummies,
     solve,
-    solve_max_assignment,
 )
 from .channel import (
     ChannelConfig,
@@ -52,12 +50,6 @@ from .traffic import (
     truncated_pareto_mean,
     truncated_pareto_sample,
 )
-from .ue_tx import (
-    KnapsackItem,
-    compute_rewards,
-    flip_drain,
-    knapsack_flip_drain,
-    strict_priority_drain,
-)
+from .ue_tx import flip_drain, strict_priority_drain
 
 __version__ = "0.1.0"

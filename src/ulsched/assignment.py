@@ -11,12 +11,11 @@ rule: among optimal solutions the lexicographically smallest column vector
 wins, an unmatched row ordering last. Inputs must be integers; anything
 else raises AssignmentError instead of being truncated.
 
-brute_force_assignment, pad_with_zero_dummies and replicate_penalty_dummies
-build the literal square problems the core is equivalent to; tests use them
-as independent oracles.
+pad_with_zero_dummies and replicate_penalty_dummies build the literal square
+problems the core is equivalent to, and brute_force_assignment solves them
+by enumeration; tests use them as independent oracles.
 """
 
-from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -24,17 +23,6 @@ import numpy as np
 
 class AssignmentError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """A perfect row->column matching and its total reward."""
-
-    mapping: tuple  # mapping[i] = column assigned to row i
-    objective: int
-
-    def columns_used(self):
-        return set(self.mapping)
 
 
 def _as_matrix(m):
@@ -261,18 +249,6 @@ def solve(rewards, penalty=None):
     return cols, objective
 
 
-def solve_max_assignment(m) -> Assignment:
-    """Maximum-reward perfect matching of a square integer matrix, under
-    solve's tie rule. Entries may be negative (penalty columns carry negated
-    drop counts)."""
-    a = _as_matrix(m)
-    n, cols = a.shape
-    if n != cols:
-        raise AssignmentError(f"matrix must be square, got {n}x{cols}")
-    mapping, objective = solve(a)
-    return Assignment(mapping=tuple(mapping), objective=objective)
-
-
 # ---------------------------------------------------------------------------
 # brute-force oracle
 # ---------------------------------------------------------------------------
@@ -280,8 +256,9 @@ def solve_max_assignment(m) -> Assignment:
 _PERM_CACHE: dict = {}
 
 
-def brute_force_assignment(m, limit: int = 8) -> Assignment:
-    """Exact optimum by full permutation enumeration (test oracle, n <= 8).
+def brute_force_assignment(m, limit: int = 8):
+    """Exact optimum of a square matrix by full permutation enumeration
+    (test oracle, n <= 8), as solve's (col_of_row, objective).
 
     Permutations are generated in lexicographic order and argmax keeps the
     first maximum, which is solve's tie rule by construction.
@@ -298,7 +275,7 @@ def brute_force_assignment(m, limit: int = 8) -> Assignment:
         _PERM_CACHE[n] = perms
     objs = a[np.arange(n), perms].sum(axis=1)
     best = int(np.argmax(objs))
-    return Assignment(mapping=tuple(int(c) for c in perms[best]), objective=objs[best].item())
+    return perms[best].tolist(), objs[best].item()
 
 
 # ---------------------------------------------------------------------------

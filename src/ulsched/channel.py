@@ -34,7 +34,6 @@ def _default_cqi_thresholds():
 @dataclass(frozen=True)
 class ChannelConfig:
     inter_site_distance_m: float = 500.0
-    bandwidth_hz: float = 10e6
     n_prb_total: int = 50
     n_prb_data: int = 48
     prb_per_rc: int = 6
@@ -43,7 +42,6 @@ class ChannelConfig:
     alpha_pc: float = 1.0
     shadowing_sigma_db: float = 4.0
     penetration_loss_db: float = 20.0  # indoor users, macro evaluation convention
-    center_freq_hz: float = 2e9
     noise_figure_db: float = 5.0
     thermal_noise_dbm_hz: float = -174.0
     min_ue_distance_m: float = 35.0

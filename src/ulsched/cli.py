@@ -100,12 +100,14 @@ def _cmd_run(args) -> int:
     row = summary_row(summary, cfg.policy, cfg.ue_policy, cfg.seed, cfg.loads_mbps)
     csv_path = out / f"run_{cfg.policy}_{cfg.ue_policy}_seed{cfg.seed}.csv"
     write_summary_csv(csv_path, [row])
+    trace_note = ""
     if args.trace:
-        trace_path = out / f"trace_{cfg.policy}_seed{cfg.seed}.csv"
+        trace_path = out / f"trace_{cfg.policy}_{cfg.ue_policy}_seed{cfg.seed}.csv"
         write_trace_csv(trace_path, summary.trace_rows)
+        trace_note = f" trace={trace_path}"
     print(f"RESULT ok policy={cfg.policy} ue_policy={cfg.ue_policy} seed={cfg.seed} "
           f"ttis={summary.tti_count} mac_mbps={summary.mac_throughput_mbps:.4f} "
-          f"jain={summary.jain:.4f} csv={csv_path}")
+          f"jain={summary.jain:.4f} csv={csv_path}{trace_note}")
     return 0
 
 

@@ -116,9 +116,29 @@ class ScenarioConfig:
         return out
 
 
+_INT_KEYS = ("seed", "tti_count", "n_ues", "buffer_capacity", "buffer_threshold",
+             "voice_deadline_ms", "video_deadline_ms", "history_window")
+_CHANNEL_INT_KEYS = ("n_prb_total", "n_prb_data", "prb_per_rc")
+
+
+def _check_types(cfg: ScenarioConfig) -> None:
+    """Integer keys hold integers (a bool is not one) and flags hold bools:
+    JSON 40.0 or "false" would otherwise fail mid-run or be read as true."""
+    ch = cfg.channel
+    ints = [(key, getattr(cfg, key)) for key in _INT_KEYS]
+    ints += [(f"channel.{key}", getattr(ch, key)) for key in _CHANNEL_INT_KEYS]
+    for key, value in ints:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+    for key, value in (("channel.fast_fading", ch.fast_fading), ("keep_trace", cfg.keep_trace)):
+        if not isinstance(value, (bool, np.bool_)):
+            raise ConfigError(f"{key} must be true or false, got {value!r}")
+
+
 def validate(cfg: ScenarioConfig) -> None:
     """Reject invalid scenarios before TTI 0; error messages name the
     offending configuration key."""
+    _check_types(cfg)
     if cfg.policy not in POLICIES:
         raise ConfigError(f"policy must be {'|'.join(POLICIES)}, got {cfg.policy!r}")
     if cfg.ue_policy not in ("strict", "flip"):
@@ -191,7 +211,7 @@ def _check_voice_floor(cfg: ScenarioConfig, n_ues: int) -> None:
     if cfg.arrival_trace or load <= 0 or n_ues == 0:
         return
     try:
-        _voice_interval(cfg, load * 1e6 / n_ues)
+        voice_interval_for_load(load * 1e6 / n_ues, **cfg.voice_params)
     except TrafficError as err:
         raise ConfigError(f"loads_mbps.voice = {load} Mbps over {n_ues} UEs: {err}") from None
 
@@ -228,13 +248,6 @@ def deploy(cfg: ScenarioConfig, rng) -> Topology:
 # runs
 # ---------------------------------------------------------------------------
 
-def _voice_interval(cfg: ScenarioConfig, load_bps: float) -> float:
-    vp = cfg.voice_params
-    return voice_interval_for_load(load_bps, **{
-        k: vp[k] for k in ("packet_bytes", "sid_bytes", "sid_interval_ms",
-                           "talk_mean_ms", "silence_mean_ms")})
-
-
 def _build_sources(cfg: ScenarioConfig, n_ues: int):
     """Per-UE generator lists; network loads divide evenly across UEs."""
     if n_ues == 0:
@@ -246,15 +259,10 @@ def _build_sources(cfg: ScenarioConfig, n_ues: int):
         if per_ue[VOICE] > 0:
             vp = cfg.voice_params
             rng = np.random.default_rng([cfg.seed, 1, ue])
-            interval = _voice_interval(cfg, per_ue[VOICE])
+            interval = voice_interval_for_load(per_ue[VOICE], **vp)
             pi_talk = vp["silence_mean_ms"] / (vp["talk_mean_ms"] + vp["silence_mean_ms"])
             gen.append(VoiceSource(rng, interval_ms=interval,
-                                   packet_bytes=vp["packet_bytes"],
-                                   sid_bytes=vp["sid_bytes"],
-                                   sid_interval_ms=vp["sid_interval_ms"],
-                                   talk_mean_ms=vp["talk_mean_ms"],
-                                   silence_mean_ms=vp["silence_mean_ms"],
-                                   start_talking=bool(rng.random() < pi_talk)))
+                                   start_talking=bool(rng.random() < pi_talk), **vp))
         if per_ue[VIDEO] > 0:
             vd = cfg.video_params
             fps = video_fps_for_load(per_ue[VIDEO],

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import cqi_to_bytes_per_rc
 from .schedulers import build_traffic_matrix, dispatch
 
 CQIS = (7, 12, 6)
@@ -145,8 +146,7 @@ def first_slot_objectives():
     walkthrough's printed form: own transmittable bytes minus the other
     users' imminent drops (the chosen user's own residual drop is left out
     of the printout; the scheduler itself accounts for it)."""
-    w = [min(cap, b) for cap, b in
-         zip((504, 756, 252), INITIAL_BUFFERS)]
+    w = [min(cap, b) for cap, b in zip(cqi_to_bytes_per_rc(CQIS).tolist(), INITIAL_BUFFERS)]
     k = FIRST_SLOT_CRITICAL
     total_k = sum(k)
     values = tuple(w[i] - (total_k - k[i]) for i in range(len(w)))

@@ -39,9 +39,6 @@ class Packet:
     arrival_tti: int
     remaining: int
 
-    def delay(self, tti: int) -> int:
-        return tti - self.arrival_tti
-
 
 def make_packet(cls, size, arrival_tti):
     return Packet(cls=cls, size=int(size), arrival_tti=int(arrival_tti), remaining=int(size))
@@ -183,10 +180,6 @@ class VideoSource:
         self.due = math.floor(nxt)
         return out
 
-    def mean_frame_bytes(self) -> float:
-        return estimate_mean_frame_bytes(self.packets_per_frame, self.min_frame_bytes,
-                                         *self.size_params)
-
 
 _FRAME_MEAN_CACHE: dict = {}
 
@@ -293,8 +286,7 @@ def _pareto_scale_for_mean(mean, shape, cap_factor) -> float:
     """Invert truncated_pareto_mean for cap = cap_factor * scale."""
     if mean <= 0:
         raise TrafficError("duration mean must be positive")
-    g = 1.0 + (1.0 - cap_factor ** (1.0 - shape)) / (shape - 1.0)
-    return mean / g
+    return mean / truncated_pareto_mean(1.0, shape, cap_factor)
 
 
 class DataSource:
@@ -414,9 +406,6 @@ class UeBuffer:
             else:
                 break
         return total
-
-    def packets(self, cls: str):
-        return self.queues[cls]
 
     def conservation_holds(self) -> bool:
         for cls in CLASSES:

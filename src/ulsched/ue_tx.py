@@ -15,17 +15,6 @@ from .traffic import CLASSES, DATA, UeBuffer, VIDEO, VOICE
 _CLASS_RANK = {VOICE: 0, VIDEO: 1, DATA: 2}
 
 
-@dataclass(frozen=True)
-class KnapsackItem:
-    packet: object        # the buffered Packet
-    reward: float         # >= 0, dimensionless
-    size: int             # remaining bytes (the knapsack weight)
-
-    @property
-    def density(self) -> float:
-        return self.reward / self.size
-
-
 @dataclass
 class DrainResult:
     sent: dict = field(default_factory=lambda: {cls: 0 for cls in CLASSES})
@@ -36,16 +25,11 @@ class DrainResult:
         return sum(self.sent.values())
 
 
-def compute_rewards(buf: UeBuffer, tti: int):
-    """Knapsack items for every buffered packet. Voice and video rewards are
-    the packet delay over the class deadline (deadline enforcement has
+def _reward_pairs(buf: UeBuffer, tti: int):
+    """(reward, packet) for every buffered packet. Voice and video rewards
+    are the packet delay over the class deadline (deadline enforcement has
     already run, so they lie in [0, 1]); data packets share one buffer-
     pressure reward and keep FIFO order among themselves."""
-    return [KnapsackItem(packet=p, reward=r, size=p.remaining)
-            for r, p in _reward_pairs(buf, tti)]
-
-
-def _reward_pairs(buf: UeBuffer, tti: int):
     out = []
     d_vo = buf.deadlines[VOICE]
     for p in buf.queues[VOICE]:
@@ -62,50 +46,26 @@ def _reward_pairs(buf: UeBuffer, tti: int):
     return out
 
 
-def _greedy_walk(keyed, grant):
-    """keyed: sortable entries (-density, -reward, arrival, class_rank, seq,
-    payload); returns ([(payload, bytes_taken)], bytes_sent, reward_credit).
+def flip_drain(buf: UeBuffer, grant: int, tti: int) -> DrainResult:
+    """The knapsack drain: order every buffered packet by reward density
+    (ties: higher reward, then older arrival, then voice before video before
+    data), take whole packets until the grant runs short and fragment the
+    last one to fill it exactly. Fully sent packets leave their queues;
+    a fragment keeps its place and arrival, so its delay clock runs on.
     Sorting plain tuples keeps the comparison in C."""
+    res = DrainResult()
+    if grant <= 0 or buf.total == 0:
+        return res
+    keyed = [(-r / p.remaining, -r, p.arrival_tti, _CLASS_RANK[p.cls], seq, p)
+             for seq, (r, p) in enumerate(_reward_pairs(buf, tti))]
     keyed.sort()
-    selections = []
     budget = int(grant)
-    credit = 0.0
-    for neg_density, neg_reward, _arr, _rank, _seq, payload, size in keyed:
+    touched = set()
+    for _density, _reward, _arrival, _rank, _seq, p in keyed:
         if budget == 0:
             break
-        take = size if size <= budget else budget
+        take = p.remaining if p.remaining <= budget else budget
         budget -= take
-        selections.append((payload, take))
-        credit += -neg_reward * (take / size)
-    return selections, int(grant) - budget, credit
-
-
-def knapsack_flip_drain(items, grant: int):
-    """Greedy fractional knapsack over KnapsackItems: order by reward
-    density, fragment the last packet to fill the grant exactly. Ties:
-    higher reward, then older arrival, then voice before video before data.
-
-    Returns (selections, total_bytes, total_reward) where selections is a
-    list of (item, bytes_taken) and total_reward grants fractional credit for
-    the cut packet.
-    """
-    if grant < 0:
-        raise ValueError("grant must be nonnegative")
-    keyed = [(-item.reward / item.size, -item.reward, item.packet.arrival_tti,
-              _CLASS_RANK[item.packet.cls], seq, item, item.size)
-             for seq, item in enumerate(items)]
-    return _greedy_walk(keyed, grant)
-
-
-def apply_drain(buf: UeBuffer, selections, tti: int) -> DrainResult:
-    """Transmit the planned bytes: update buffer accounting, remove fully
-    sent packets, leave fragments in place (original arrival kept, so the
-    remainder keeps its queue position and its delay clock). selections may
-    hold KnapsackItems or Packets."""
-    res = DrainResult()
-    touched = set()
-    for entry, take in selections:
-        p = entry.packet if isinstance(entry, KnapsackItem) else entry
         p.remaining -= take
         buf.transmitted[p.cls] += take
         buf.occupancy[p.cls] -= take
@@ -118,19 +78,6 @@ def apply_drain(buf: UeBuffer, selections, tti: int) -> DrainResult:
         q = buf.queues[cls]
         buf.queues[cls] = type(q)(p for p in q if p.remaining > 0)
     return res
-
-
-def flip_drain(buf: UeBuffer, grant: int, tti: int) -> DrainResult:
-    """The knapsack drain end to end (reward pass, greedy walk, buffer
-    update) without intermediate item objects; equivalent to
-    compute_rewards + knapsack_flip_drain + apply_drain."""
-    if grant <= 0 or buf.total == 0:
-        return DrainResult()
-    keyed = [(-r / p.remaining, -r, p.arrival_tti, _CLASS_RANK[p.cls], seq, p,
-              p.remaining)
-             for seq, (r, p) in enumerate(_reward_pairs(buf, tti))]
-    selections, _sent, _credit = _greedy_walk(keyed, grant)
-    return apply_drain(buf, selections, tti)
 
 
 def strict_priority_drain(buf: UeBuffer, grant: int, tti: int) -> DrainResult:

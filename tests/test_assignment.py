@@ -1,4 +1,4 @@
-"""Assignment solver tests: worked examples, oracle cross-checks, transforms."""
+"""Tests of the assignment core: worked examples, oracle cross-checks, transforms."""
 
 import numpy as np
 import pytest
@@ -11,58 +11,49 @@ from ulsched.assignment import (
     pad_with_zero_dummies,
     replicate_penalty_dummies,
     solve,
-    solve_max_assignment,
 )
 
 
 def test_single_cell_identity():
-    a = solve_max_assignment([[5]])
-    assert a.mapping == (0,)
-    assert a.objective == 5
+    assert solve([[5]]) == ([0], 5)
 
 
 def test_two_users_one_chunk_plus_zero_dummy():
     # one real column, one zero dummy: the 400-byte row wins the real chunk
-    a = solve_max_assignment([[400, 0], [300, 0]])
-    assert a.mapping == (0, 1)
-    assert a.objective == 400
+    assert solve([[400, 0], [300, 0]]) == ([0, 1], 400)
 
 
 def test_brute_force_tie_break_lowest_row_then_col():
     # both permutations score 5; lexicographic rule keeps row0->col0
-    a = brute_force_assignment([[1, 2], [3, 4]])
-    assert a.mapping == (0, 1)
-    assert a.objective == 5
+    assert brute_force_assignment([[1, 2], [3, 4]]) == ([0, 1], 5)
 
 
 def test_brute_force_all_zero_matrix():
-    a = brute_force_assignment([[0, 0], [0, 0]])
-    assert a.mapping == (0, 1)
-    assert a.objective == 0
+    assert brute_force_assignment([[0, 0], [0, 0]]) == ([0, 1], 0)
 
 
 def test_solver_matches_brute_force_tie_break():
-    assert solve_max_assignment([[1, 2], [3, 4]]).mapping == (0, 1)
-    assert solve_max_assignment([[0, 0], [0, 0]]).mapping == (0, 1)
-    assert solve_max_assignment([[0] * 4] * 4).mapping == (0, 1, 2, 3)
+    assert solve([[1, 2], [3, 4]]) == ([0, 1], 5)
+    assert solve([[0, 0], [0, 0]]) == ([0, 1], 0)
+    assert solve([[0] * 4] * 4) == ([0, 1, 2, 3], 0)
 
 
 def test_row_of_minima_still_assigned():
     m = np.array([[5, 6, 7], [-10**6, -10**6, -10**6], [1, 2, 3]])
-    a = brute_force_assignment(m)
-    assert sorted(a.mapping) == [0, 1, 2]  # perfect matching required
-    b = solve_max_assignment(m)
-    assert sorted(b.mapping) == [0, 1, 2]
-    assert b.objective == a.objective
+    cols, obj = brute_force_assignment(m)
+    assert sorted(cols) == [0, 1, 2]  # perfect matching required
+    assert solve(m) == (cols, obj)
 
 
 def test_dimension_and_limit_errors():
     with pytest.raises(AssignmentError):
-        solve_max_assignment([[1, 2, 3], [4, 5, 6]])
+        brute_force_assignment([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(AssignmentError):
         brute_force_assignment(np.zeros((9, 9), dtype=int))
     with pytest.raises(AssignmentError):
-        solve_max_assignment([[np.inf, 1], [1, 2]])
+        solve([[np.inf, 1], [1, 2]])
+    with pytest.raises(AssignmentError):
+        solve([1, 2, 3])
 
 
 def test_random_objectives_match_brute_force():
@@ -70,10 +61,9 @@ def test_random_objectives_match_brute_force():
     for _ in range(400):
         n = rng.integers(2, 8)
         m = rng.integers(-999, 1000, size=(n, n))
-        s = solve_max_assignment(m)
-        b = brute_force_assignment(m)
-        assert s.objective == b.objective
-        assert s.objective == sum(m[i, c] for i, c in enumerate(s.mapping))
+        cols, obj = solve(m)
+        assert obj == brute_force_assignment(m)[1]
+        assert obj == sum(m[i, c] for i, c in enumerate(cols))
 
 
 def test_random_mappings_match_brute_force():
@@ -83,7 +73,7 @@ def test_random_mappings_match_brute_force():
     for _ in range(300):
         n = rng.integers(2, 7)
         m = rng.integers(0, 4, size=(n, n))  # few levels -> many ties
-        assert solve_max_assignment(m).mapping == brute_force_assignment(m).mapping
+        assert solve(m) == brute_force_assignment(m)
 
 
 def test_shift_invariance():
@@ -92,19 +82,16 @@ def test_shift_invariance():
         n = rng.integers(2, 7)
         m = rng.integers(-500, 500, size=(n, n))
         c = int(rng.integers(-300, 300))
-        base = solve_max_assignment(m)
-        shifted = solve_max_assignment(m + c)
-        assert shifted.mapping == base.mapping
-        assert shifted.objective == base.objective + n * c
+        cols, obj = solve(m)
+        assert solve(m + c) == (cols, obj + n * c)
 
 
 def test_determinism():
     rng = np.random.default_rng(5)
     m = rng.integers(0, 3, size=(6, 6))
-    first = solve_max_assignment(m)
+    first = solve(m)
     for _ in range(5):
-        again = solve_max_assignment(m)
-        assert again == first
+        assert solve(m) == first
 
 
 def test_pad_with_zero_dummies_column_construction():
@@ -133,9 +120,9 @@ def test_replicate_penalty_dummies_columns():
     for j in (1, 2):
         assert np.array_equal(out[:, j], [-50, -100, -255])
     # the three-user single-chunk case: scheduling row 2 wins (252-50-100)
-    a = solve_max_assignment(out)
-    assert a.mapping[2] == 0
-    assert a.objective == 102
+    cols, obj = solve(out)
+    assert cols[2] == 0
+    assert obj == 102
 
 
 def test_replicate_zero_penalties_degenerates_to_zero_padding():
@@ -145,7 +132,7 @@ def test_replicate_zero_penalties_degenerates_to_zero_padding():
     padded = pad_with_zero_dummies(gamma)
     replicated = replicate_penalty_dummies(gamma, zk)
     assert np.array_equal(padded, replicated)
-    assert solve_max_assignment(padded).objective == solve_max_assignment(replicated).objective
+    assert solve(padded) == solve(replicated)
 
 
 def test_replicate_errors():
@@ -182,7 +169,7 @@ def test_replication_pipeline_equals_rectangular_enumeration():
         gamma = rng.integers(-200, 757, size=(n, m))
         k = rng.integers(0, 757, size=n)
         sq = replicate_penalty_dummies(gamma, k)
-        got = solve_max_assignment(sq).objective
+        got = solve(sq)[1]
         assert got == _enumerate_rectangular_optimum(gamma, k)
 
 
@@ -197,7 +184,7 @@ def test_solve_rejects_non_integral_input():
     with pytest.raises(AssignmentError):
         solve([[1], [2]], penalty=[0, np.inf])
     with pytest.raises(AssignmentError):
-        solve_max_assignment([[0.5, 1], [1, 2]])
+        solve([[0.5, 1], [1, 2]])
 
 
 def test_solve_with_no_columns_leaves_every_row_unmatched():
@@ -243,7 +230,6 @@ def test_tie_rule_holds_above_64_rows():
         r = rng.integers(0, 3, size=(70, 70))  # three levels: ties everywhere
         cols, obj = solve(r)
         assert (cols, obj) == _lexi_oracle(r, np.zeros(70, dtype=np.int64)), trial
-        assert solve_max_assignment(r).mapping == tuple(cols)
     r = rng.integers(0, 3, size=(100, 70))
     k = rng.integers(0, 3, size=100)
     cols, obj = solve(r, k)
@@ -289,6 +275,6 @@ def test_surplus_tie_rule_beyond_brute_force():
 def test_penalty_tie_rule_when_the_entry_needs_a_chain():
     r = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 1], [0, 0, 1]])
     k = np.array([1, 0, 0, 0])
-    want = brute_force_assignment(replicate_penalty_dummies(r, k))
-    cols = [c if c < 3 else -1 for c in want.mapping]   # (0, 3, 1, 2): row 1 unmatched
-    assert solve(r, k) == (cols, want.objective)
+    want_cols, want_obj = brute_force_assignment(replicate_penalty_dummies(r, k))
+    cols = [c if c < 3 else -1 for c in want_cols]   # [0, 3, 1, 2]: row 1 unmatched
+    assert solve(r, k) == (cols, want_obj)

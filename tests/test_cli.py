@@ -8,6 +8,11 @@ import pytest
 from ulsched.cli import main
 
 
+def _rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_example_table5(capsys):
     assert main(["example", "table5"]) == 0
     out = capsys.readouterr().out
@@ -70,8 +75,8 @@ def test_run_writes_csv_and_is_repeatable(tmp_path, capsys):
     out2 = tmp_path / "o2"
     assert main(["run", "--config", str(cfg), "--out", str(out1)]) == 0
     assert main(["run", "--config", str(cfg), "--out", str(out2)]) == 0
-    rows1 = list(csv.DictReader(open(out1 / "run_darts_strict_seed3.csv")))
-    rows2 = list(csv.DictReader(open(out2 / "run_darts_strict_seed3.csv")))
+    rows1 = _rows(out1 / "run_darts_strict_seed3.csv")
+    rows2 = _rows(out2 / "run_darts_strict_seed3.csv")
     assert rows1 == rows2
     assert rows1[0]["conservation_ok"] == "1"
     line = capsys.readouterr().out
@@ -85,8 +90,8 @@ def test_run_seed_override_changes_output(tmp_path):
         "loads_mbps": {"voice": 1.0, "video": 0.0, "data": 0.0}}))
     main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")])
     main(["run", "--config", str(cfg), "--seed", "9", "--out", str(tmp_path / "b")])
-    a = list(csv.DictReader(open(tmp_path / "a" / "run_dham_strict_seed3.csv")))[0]
-    b = list(csv.DictReader(open(tmp_path / "b" / "run_dham_strict_seed9.csv")))[0]
+    a = _rows(tmp_path / "a" / "run_dham_strict_seed3.csv")[0]
+    b = _rows(tmp_path / "b" / "run_dham_strict_seed9.csv")[0]
     assert a["transmitted_bytes"] != b["transmitted_bytes"]
 
 
@@ -98,20 +103,41 @@ def test_run_env_override(tmp_path, monkeypatch):
         "policy": "dham", "tti_count": 5000, "n_ues": 3,
         "loads_mbps": {"voice": 0.5, "video": 0.0, "data": 0.0}}))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    rows = list(csv.DictReader(open(tmp_path / "run_dham_strict_seed77.csv")))
+    rows = _rows(tmp_path / "run_dham_strict_seed77.csv")
     assert rows[0]["seed"] == "77"
     assert rows[0]["tti_count"] == "90"
 
 
-def test_run_trace_flag(tmp_path):
+def test_run_trace_flag(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "policy": "dham", "seed": 1, "tti_count": 50, "n_ues": 3,
         "loads_mbps": {"voice": 0.5, "video": 0.0, "data": 0.0}}))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path), "--trace"]) == 0
-    trace = list(csv.reader(open(tmp_path / "trace_dham_seed1.csv")))
-    assert trace[0][0] == "tti"
-    assert len(trace) == 51
+    path = tmp_path / "trace_dham_strict_seed1.csv"
+    assert f"trace={path}" in capsys.readouterr().out
+    trace = _rows(path)
+    assert list(trace[0])[0] == "tti"
+    assert len(trace) == 50
+
+
+def test_run_trace_files_of_both_ue_policies_coexist(tmp_path):
+    # both drains' traces land in one --out directory; neither overwrites
+    # the other
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "policy": "dafs", "seed": 3, "tti_count": 50, "n_ues": 6,
+        "loads_mbps": {"voice": 2.0, "video": 2.0, "data": 2.0}}))
+    traces = {}
+    for ue_policy in ("strict", "flip"):
+        assert main(["run", "--config", str(cfg), "--ue-policy", ue_policy,
+                     "--out", str(tmp_path), "--trace"]) == 0
+        traces[ue_policy] = tmp_path / f"trace_dafs_{ue_policy}_seed3.csv"
+        assert len(_rows(traces[ue_policy])) == 50
+    for ue_policy in ("strict", "flip"):
+        summary = _rows(tmp_path / f"run_dafs_{ue_policy}_seed3.csv")[0]
+        sent = sum(int(r["transmitted_bytes"]) for r in _rows(traces[ue_policy]))
+        assert sent == int(summary["transmitted_bytes"]), ue_policy
 
 
 def test_sweep_row_per_point_and_seed(tmp_path, capsys):
@@ -121,7 +147,7 @@ def test_sweep_row_per_point_and_seed(tmp_path, capsys):
         "loads_mbps": {"voice": 0.5, "video": 0.0, "data": 0.0},
         "sweep": {"vary": "voice", "points_mbps": [0.5, 1.0], "seeds": [1, 2, 3]}}))
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    rows = list(csv.DictReader(open(tmp_path / "sweep_dham_strict.csv")))
+    rows = _rows(tmp_path / "sweep_dham_strict.csv")
     assert len(rows) == 6
     assert {(r["voice_mbps"], r["seed"]) for r in rows} == {
         (str(p), str(s)) for p in (0.5, 1.0) for s in (1, 2, 3)}

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ulsched.engine import (
     ConfigError,
@@ -73,6 +74,9 @@ def test_validate_rejects_bad_keys_and_values():
     with pytest.raises(ConfigError) as err:
         ScenarioConfig.from_dict({"not_a_key": 1})
     assert "not_a_key" in str(err.value)
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_dict({"channel": {"carrier_hz": 2e9}})
+    assert "unknown channel key: carrier_hz" in str(err.value)
 
 
 def test_validate_rejects_deadlines_below_one_tti():
@@ -131,13 +135,37 @@ def test_validate_rejects_non_finite_channel_floats():
     from ulsched.channel import ChannelConfig
     cfg = ScenarioConfig(policy="darts", n_ues=4, tti_count=30)
     for key, value in (("p_max_dbm", math.nan), ("noise_figure_db", math.inf),
-                       ("thermal_noise_dbm_hz", -math.inf), ("bandwidth_hz", math.nan),
+                       ("thermal_noise_dbm_hz", -math.inf), ("penetration_loss_db", math.nan),
                        ("cqi_thresholds_db", (math.nan,) * 15)):
         bad = replace(cfg, channel=replace(ChannelConfig(), **{key: value}))
         for check in (validate, run):
             with pytest.raises(ConfigError) as err:
                 check(bad)
             assert f"channel.{key}" in str(err.value)
+
+
+def test_validate_rejects_wrongly_typed_values():
+    # JSON 40.0 for tti_count or 48.0 for channel.n_prb_data failed inside
+    # run() with a TypeError naming no key; "false" for channel.fast_fading
+    # ran with fading on; a fractional buffer_capacity was accepted
+    base = {"policy": "darts", "n_ues": 4, "tti_count": 30}
+    for key, value in (("tti_count", 40.0), ("history_window", 10.5),
+                       ("buffer_capacity", 1000.5), ("seed", True), ("n_ues", "4"),
+                       ("voice_deadline_ms", 50.0), ("keep_trace", "yes"),
+                       ("channel.n_prb_data", 48.0), ("channel.prb_per_rc", 6.0),
+                       ("channel.fast_fading", "false")):
+        d = dict(base)
+        if key.startswith("channel."):
+            d["channel"] = {key.split(".", 1)[1]: value}
+        else:
+            d[key] = value
+        bad = ScenarioConfig.from_dict(d)
+        for check in (validate, run):
+            with pytest.raises(ConfigError) as err:
+                check(bad)
+            assert str(err.value).startswith(f"{key} must be"), (key, err.value)
+    validate(ScenarioConfig.from_dict(dict(base, seed=np.int64(3), keep_trace=True,
+                                           channel={"fast_fading": False})))
 
 
 def test_validate_rejects_nonpositive_min_ue_distance():
@@ -252,6 +280,43 @@ def test_no_transmitted_packet_exceeds_deadline():
     s = run(cfg)
     assert s.delay_max_ms[VOICE] <= 50
     assert s.delay_max_ms[VIDEO] <= 150
+
+
+@settings(max_examples=50, deadline=None)
+@given(policy=st.sampled_from(["dham", "darts", "dafs"]),
+       ue_policy=st.sampled_from(["strict", "flip"]),
+       n_ues=st.integers(0, 12), seed=st.integers(0, 2 ** 16),
+       capacity=st.sampled_from([300, 2000, 8000, 65536]), threshold_share=st.floats(0.0, 0.99),
+       voice_deadline=st.integers(1, 60), video_deadline=st.integers(1, 160),
+       history_window=st.integers(1, 20),
+       loads=st.tuples(*[st.sampled_from([0.0, 1.0, 8.0, 32.0])] * 3))
+@example(policy="dafs", ue_policy="flip", n_ues=12, seed=0, capacity=8000,
+         threshold_share=0.5, voice_deadline=1, video_deadline=1, history_window=1,
+         loads=(32.0, 32.0, 32.0))
+@example(policy="darts", ue_policy="strict", n_ues=10, seed=1, capacity=65536,
+         threshold_share=0.75, voice_deadline=2, video_deadline=3, history_window=3,
+         loads=(32.0, 8.0, 0.0))
+@example(policy="dham", ue_policy="flip", n_ues=5, seed=2, capacity=300,
+         threshold_share=0.0, voice_deadline=1, video_deadline=1, history_window=1,
+         loads=(8.0, 8.0, 32.0))
+def test_small_runs_conserve_bytes_drain_grants_and_meet_deadlines(
+        policy, ue_policy, n_ues, seed, capacity, threshold_share, voice_deadline,
+        video_deadline, history_window, loads):
+    # 0-12 UEs on 8 RCs reach the surplus regime, and small buffers overflow
+    # under the higher loads; the examples pin deadline drops (the first
+    # two) and overflow in the surplus regime (the third)
+    cfg = ScenarioConfig(policy=policy, ue_policy=ue_policy, seed=seed, tti_count=40,
+                         n_ues=n_ues, buffer_capacity=capacity,
+                         buffer_threshold=int(threshold_share * capacity),
+                         voice_deadline_ms=voice_deadline, video_deadline_ms=video_deadline,
+                         history_window=history_window, keep_trace=True,
+                         loads_mbps=dict(zip((VOICE, VIDEO, DATA), loads)))
+    s = run(cfg)
+    assert s.conservation_ok
+    assert len(s.trace_rows) == 40
+    assert all(r["transmitted_bytes"] == r["granted_bytes"] for r in s.trace_rows)
+    assert s.delay_max_ms[VOICE] <= voice_deadline
+    assert s.delay_max_ms[VIDEO] <= video_deadline
 
 
 def test_drops_logged_before_scheduling(tmp_path):

@@ -123,7 +123,8 @@ def test_summary_csv_roundtrip(tmp_path):
     row = summary_row(s, "dham", "strict", 7, {VOICE: 1.0, VIDEO: 0.0, DATA: 0.0})
     path = tmp_path / "out.csv"
     write_summary_csv(path, [row])
-    back = list(csv.DictReader(open(path)))
+    with open(path, newline="") as fh:
+        back = list(csv.DictReader(fh))
     assert back[0]["policy"] == "dham"
     assert back[0]["transmitted_bytes"] == "40"
     assert back[0]["conservation_ok"] == "1"

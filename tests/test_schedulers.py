@@ -57,11 +57,11 @@ def _literal_pipeline(gamma, k):
     rows) to square, solve, then project dummy assignments to 'no column'."""
     n, m = gamma.shape
     if n > m:
-        sol = brute_force_assignment(replicate_penalty_dummies(gamma, k))
-        return [c if c < m else -1 for c in sol.mapping], sol.objective
+        cols, obj = brute_force_assignment(replicate_penalty_dummies(gamma, k))
+        return [c if c < m else -1 for c in cols], obj
     square = np.vstack([gamma, np.zeros((m - n, m), dtype=gamma.dtype)])
-    sol = brute_force_assignment(square)
-    return list(sol.mapping[:n]), sol.objective
+    cols, obj = brute_force_assignment(square)
+    return cols[:n], obj
 
 
 def test_folded_solver_equals_literal_pipeline():

@@ -1,19 +1,12 @@
-"""UE drain tests: reward construction, fractional-knapsack optimality
-against an LP oracle, strict priority, fragmentation bookkeeping."""
+"""UE drain tests: reward construction, fractional-knapsack optimality of
+flip_drain against an LP oracle, strict priority, fragmentation bookkeeping."""
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from ulsched.traffic import DATA, UeBuffer, VIDEO, VOICE, make_packet
-from ulsched.ue_tx import (
-    KnapsackItem,
-    apply_drain,
-    compute_rewards,
-    flip_drain,
-    knapsack_flip_drain,
-    strict_priority_drain,
-)
+from ulsched.ue_tx import _reward_pairs, flip_drain, strict_priority_drain
 
 
 def _buf(capacity=65536, threshold=None):
@@ -23,9 +16,9 @@ def _buf(capacity=65536, threshold=None):
 def test_voice_reward_is_delay_ratio():
     buf = _buf()
     buf.enqueue([make_packet(VOICE, 40, arrival_tti=0)])
-    items = compute_rewards(buf, tti=25)
-    assert len(items) == 1
-    assert items[0].reward == pytest.approx(0.5)
+    pairs = _reward_pairs(buf, tti=25)
+    assert len(pairs) == 1
+    assert pairs[0][0] == pytest.approx(0.5)
 
 
 def test_old_video_outranks_fresh_voice():
@@ -33,8 +26,7 @@ def test_old_video_outranks_fresh_voice():
     video = make_packet(VIDEO, 100, arrival_tti=0)
     voice = make_packet(VOICE, 40, arrival_tti=130)
     buf.enqueue([video, voice])
-    items = compute_rewards(buf, tti=149)
-    rewards = {it.packet.cls: it.reward for it in items}
+    rewards = {p.cls: r for r, p in _reward_pairs(buf, tti=149)}
     assert rewards[VIDEO] == pytest.approx(149 / 150)
     assert rewards[VIDEO] > rewards[VOICE]
     # small grant: the flip drain spends it on the video packet first
@@ -46,18 +38,20 @@ def test_old_video_outranks_fresh_voice():
 def test_data_reward_zero_below_threshold():
     buf = _buf(capacity=1000, threshold=750)
     buf.enqueue([make_packet(DATA, 200, 0), make_packet(DATA, 200, 0)])
-    assert all(it.reward == 0.0 for it in compute_rewards(buf, tti=10))
+    assert all(r == 0.0 for r, _ in _reward_pairs(buf, tti=10))
     buf.enqueue([make_packet(DATA, 400, 0)])  # occupancy 800 > 750
-    items = compute_rewards(buf, tti=10)
-    assert all(it.reward == pytest.approx(50 / 250) for it in items)
+    pairs = _reward_pairs(buf, tti=10)
+    assert len(pairs) == 3
+    assert all(r == pytest.approx(50 / 250) for r, _ in pairs)
 
 
 def test_grant_zero_transmits_nothing():
     buf = _buf()
     buf.enqueue([make_packet(VOICE, 40, 0)])
-    sel, sent, reward = knapsack_flip_drain(compute_rewards(buf, 1), 0)
-    assert sel == [] and sent == 0 and reward == 0.0
+    res = flip_drain(buf, 0, 1)
+    assert res.total == 0 and res.delivered == []
     assert strict_priority_drain(buf, 0, 1).total == 0
+    assert buf.total == 40 and buf.queues[VOICE][0].remaining == 40
 
 
 def test_slack_grant_transmits_everything():
@@ -79,27 +73,48 @@ def _lp_fractional_optimum(rewards, sizes, grant):
     return -res.fun
 
 
+def _known_reward_buffer(rng, tti=2000):
+    """A buffer of voice, video and data packets whose arrival TTIs fix
+    their rewards, and those rewards derived from the definitions: delay
+    over deadline for the real-time classes, the shared buffer pressure
+    above the threshold for data. Returns (buf, packets, rewards)."""
+    buf = UeBuffer(capacity=20_000, threshold=int(rng.integers(0, 20_000)),
+                   voice_deadline=int(rng.integers(1, 1000)),
+                   video_deadline=int(rng.integers(1, 1000)))
+    pkts = []
+    for _ in range(int(rng.integers(1, 13))):
+        cls = (VOICE, VIDEO, DATA)[int(rng.integers(0, 3))]
+        age = int(rng.integers(0, buf.deadlines[cls] + 1)) if cls != DATA else 0
+        pkts.append(make_packet(cls, int(rng.integers(1, 1500)), tti - age))
+    pkts.sort(key=lambda p: p.arrival_tti)  # FIFO queues hold the oldest first
+    buf.enqueue(pkts)
+    pressure = max(0, buf.total - buf.threshold) / (buf.capacity - buf.threshold)
+    rewards = [pressure if p.cls == DATA else (tti - p.arrival_tti) / buf.deadlines[p.cls]
+               for p in pkts]
+    return buf, pkts, rewards
+
+
 def test_greedy_reward_matches_lp_optimum():
     rng = np.random.default_rng(31)
+    tti = 2000
     for _ in range(300):
-        n = int(rng.integers(1, 13))
-        sizes = rng.integers(1, 1500, size=n)
-        rewards = rng.uniform(0.0, 1.0, size=n)
-        grant = int(rng.integers(0, int(sizes.sum()) + 200))
-        items = [KnapsackItem(packet=make_packet(DATA, int(s), 0), reward=float(r),
-                              size=int(s))
-                 for s, r in zip(sizes, rewards)]
-        _, sent, got = knapsack_flip_drain(items, grant)
+        buf, pkts, rewards = _known_reward_buffer(rng, tti)
+        sizes = [p.size for p in pkts]
+        grant = int(rng.integers(0, sum(sizes) + 200))
+        res = flip_drain(buf, grant, tti)
+        got = sum(r * (s - p.remaining) / s for r, s, p in zip(rewards, sizes, pkts))
         want = _lp_fractional_optimum(rewards, sizes, grant)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
-        assert sent == min(grant, int(sizes.sum()))
+        assert res.total == min(grant, sum(sizes))
+        assert buf.conservation_holds()
 
 
 def test_equal_rewards_still_fill_grant():
-    items = [KnapsackItem(packet=make_packet(DATA, 100, i), reward=0.0, size=100)
-             for i in range(5)]
-    _, sent, _ = knapsack_flip_drain(items, 230)
-    assert sent == 230
+    buf = _buf()
+    buf.enqueue([make_packet(DATA, 100, i) for i in range(5)])  # below threshold: reward 0
+    res = flip_drain(buf, 230, tti=10)
+    assert res.total == 230
+    assert [p.remaining for p in buf.queues[DATA]] == [70, 100, 100]
 
 
 def test_flip_monotone_in_video_delay():
@@ -109,8 +124,8 @@ def test_flip_monotone_in_video_delay():
         video = make_packet(VIDEO, 120, arrival_tti=150 - delay)
         others = [make_packet(VOICE, 40, 130), make_packet(VOICE, 40, 135)]
         buf.enqueue([video] + others)
-        sel, _, _ = knapsack_flip_drain(compute_rewards(buf, tti=150), 10_000)
-        order = [it.packet.cls for it, _ in sel]
+        res = flip_drain(buf, 10_000, tti=150)
+        order = [cls for cls, _size, _delay in res.delivered]  # drain order: all sent whole
         return order.index(VIDEO)
     positions = [position(d) for d in (10, 60, 110, 140, 150)]
     assert positions == sorted(positions, reverse=True)
@@ -162,28 +177,7 @@ def test_data_drains_when_alone():
     assert res.sent[DATA] == 300
 
 
-def test_flip_drain_equals_item_pipeline():
-    # the fused drain must match compute_rewards + knapsack_flip_drain +
-    # apply_drain exactly, packet for packet
-    rng = np.random.default_rng(13)
-    for _ in range(40):
-        a, b = _buf(capacity=100_000), _buf(capacity=100_000)
-        for _ in range(25):
-            cls = [VOICE, VIDEO, DATA][int(rng.integers(0, 3))]
-            pkt = make_packet(cls, int(rng.integers(1, 600)), int(rng.integers(0, 45)))
-            a.enqueue([pkt])
-            b.enqueue([make_packet(pkt.cls, pkt.size, pkt.arrival_tti)])
-        grant = int(rng.integers(0, 4000))
-        res_fused = flip_drain(a, grant, tti=50)
-        sel, _, _ = knapsack_flip_drain(compute_rewards(b, 50), grant)
-        res_steps = apply_drain(b, sel, tti=50)
-        assert res_fused.sent == res_steps.sent
-        assert res_fused.delivered == res_steps.delivered
-        assert [(p.arrival_tti, p.remaining) for p in a.queues[VIDEO]] == \
-               [(p.arrival_tti, p.remaining) for p in b.queues[VIDEO]]
-
-
-def test_apply_drain_conservation():
+def test_flip_drain_conservation():
     rng = np.random.default_rng(9)
     for _ in range(50):
         buf = _buf(capacity=100_000)

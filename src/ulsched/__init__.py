@@ -46,7 +46,6 @@ from .traffic import (
     VOICE,
     VideoSource,
     VoiceSource,
-    compute_urgency,
     truncated_pareto_mean,
     truncated_pareto_sample,
 )

@@ -10,6 +10,7 @@ purpose, so adding a UE never perturbs the draws of the others.
 
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -28,7 +29,6 @@ from .traffic import (
     VOICE,
     VideoSource,
     VoiceSource,
-    compute_urgency,
     load_arrival_trace,
     make_packet,
     video_fps_for_load,
@@ -119,20 +119,45 @@ class ScenarioConfig:
 _INT_KEYS = ("seed", "tti_count", "n_ues", "buffer_capacity", "buffer_threshold",
              "voice_deadline_ms", "video_deadline_ms", "history_window")
 _CHANNEL_INT_KEYS = ("n_prb_total", "n_prb_data", "prb_per_rc")
+_CHANNEL_REAL_KEYS = tuple(f for f in ChannelConfig.__dataclass_fields__
+                           if f not in _CHANNEL_INT_KEYS + ("fast_fading", "cqi_thresholds_db"))
+_PARAM_INT_KEYS = frozenset({"packet_bytes", "sid_bytes", "packets_per_frame", "min_frame_bytes",
+                             "n_sources", "payload_min", "payload_max"})
+
+
+def _is_int(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
+def _is_real(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def _expect(key, value, ok, what) -> None:
+    if not ok(value):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
 
 
 def _check_types(cfg: ScenarioConfig) -> None:
-    """Integer keys hold integers (a bool is not one) and flags hold bools:
-    JSON 40.0 or "false" would otherwise fail mid-run or be read as true."""
+    """Integer keys hold integers, number keys finite real numbers (a bool
+    is neither) and flags bools: JSON 40.0, "24", NaN or "false" would
+    otherwise fail or hang mid-run, be truncated or be read as true."""
     ch = cfg.channel
-    ints = [(key, getattr(cfg, key)) for key in _INT_KEYS]
-    ints += [(f"channel.{key}", getattr(ch, key)) for key in _CHANNEL_INT_KEYS]
-    for key, value in ints:
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
+    _expect("channel", ch, lambda v: isinstance(v, ChannelConfig), "a mapping of channel keys")
+    for key in ("loads_mbps", "voice_params", "video_params", "data_params"):
+        _expect(key, getattr(cfg, key), lambda v: isinstance(v, dict), "a mapping")
+    for key in _INT_KEYS:
+        _expect(key, getattr(cfg, key), _is_int, "an integer")
+    for key in _CHANNEL_INT_KEYS:
+        _expect(f"channel.{key}", getattr(ch, key), _is_int, "an integer")
+    reals = [("ppp_intensity_per_km2", cfg.ppp_intensity_per_km2)]
+    reals += [(f"loads_mbps.{cls}", value) for cls, value in cfg.loads_mbps.items()]
+    reals += [(f"channel.{key}", getattr(ch, key)) for key in _CHANNEL_REAL_KEYS]
+    reals += [("channel.cqi_thresholds_db", value) for value in ch.cqi_thresholds_db]
+    for key, value in reals:
+        _expect(key, value, _is_real, "a finite real number")
     for key, value in (("channel.fast_fading", ch.fast_fading), ("keep_trace", cfg.keep_trace)):
-        if not isinstance(value, (bool, np.bool_)):
-            raise ConfigError(f"{key} must be true or false, got {value!r}")
+        _expect(key, value, lambda v: isinstance(v, (bool, np.bool_)), "true or false")
 
 
 def validate(cfg: ScenarioConfig) -> None:
@@ -164,10 +189,6 @@ def validate(cfg: ScenarioConfig) -> None:
     if not 0 <= cfg.buffer_threshold < cfg.buffer_capacity:
         raise ConfigError("buffer_threshold must be nonnegative and below buffer_capacity")
     ch = cfg.channel
-    for key, value in vars(ch).items():
-        values = value if isinstance(value, tuple) else (value,)
-        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-            raise ConfigError(f"channel.{key} must be finite, got {value}")
     if not 0 < ch.alpha_pc <= 1:
         raise ConfigError("channel.alpha_pc must lie in (0, 1]")
     if ch.prb_per_rc <= 0 or ch.n_prb_data % ch.prb_per_rc != 0:
@@ -195,6 +216,11 @@ def validate(cfg: ScenarioConfig) -> None:
         if bad:
             what = "is not a known key" if bad[0] in given else "is missing"
             raise ConfigError(f"{key}.{bad[0]} {what}")
+        for name, value in given.items():
+            if name in _PARAM_INT_KEYS:
+                _expect(f"{key}.{name}", value, _is_int, "an integer")
+            else:
+                _expect(f"{key}.{name}", value, _is_real, "a finite real number")
     if cfg.history_window < 1:
         raise ConfigError("history_window must be at least 1")
     for key in ("voice_deadline_ms", "video_deadline_ms"):
@@ -309,7 +335,7 @@ def run(cfg: ScenarioConfig) -> MetricsSummary:
                                fading_rngs=fading, interference_rng=interference)
     worst = worst_user(topo) if n else 0
     collector = MetricsCollector(n, worst, keep_trace=cfg.keep_trace)
-    urgency_mode = "mixed" if cfg.policy == "dafs" else "single_class"
+    dafs = cfg.policy == "dafs"
     drain = flip_drain if cfg.ue_policy == "flip" else strict_priority_drain
 
     for tti in range(cfg.tti_count):
@@ -322,25 +348,30 @@ def run(cfg: ScenarioConfig) -> MetricsSummary:
                     pkts = src.step(tti)
                     if pkts:
                         buf.enqueue(pkts)
-        drops = [buf.age_and_drop(tti) for buf in buffers]
+        aged = [buf.age_and_drop(tti) for buf in buffers]
+        dropped, critical = np.array(aged, dtype=np.int64).reshape(n, 2).T
+        b = np.array([buf.total for buf in buffers], dtype=np.int64)
+        # urgency: the bytes at their deadline (plus, for dafs, the build-up
+        # above the threshold) as k_current; k adds the drop history
         k = k_current = None
         if cfg.policy != "dham":
-            urgency = [compute_urgency(buf, tti, urgency_mode) for buf in buffers]
-            k, k_current = np.array(urgency, dtype=np.int64).reshape(n, 2).T
+            k_current = critical + np.maximum(b - cfg.buffer_threshold, 0) if dafs else critical
+            k = k_current + np.array([buf.history_sum for buf in buffers], dtype=np.int64)
+        sent = 0
+        delivered = []
+        decision = None
         if n:
-            grid = cqi_source.grid(tti)
-            b = np.array([buf.total for buf in buffers], dtype=np.int64)
-            W = build_traffic_matrix(grid, b)
+            W = build_traffic_matrix(cqi_source.grid(tti), b)
             decision = dispatch(cfg.policy, W, k, k_current)
-        else:
-            decision = None
-        drains = [None] * n
-        if decision is not None:
-            for ue in range(n):
-                g = int(decision.grants[ue])
-                if g > 0:
-                    drains[ue] = drain(buffers[ue], g, tti)
-        collector.record_tti(tti, drops, drains, decision)
+            grants = decision.grants
+            for ue in np.flatnonzero(grants).tolist():
+                buf = buffers[ue]
+                before = buf.total
+                got = drain(buf, int(grants[ue]), tti)
+                sent += before - buf.total
+                if got:
+                    delivered.append((ue, got))
+        collector.record_tti(tti, int(dropped.sum()), sent, delivered, decision)
     return collector.finalize(buffers)
 
 

@@ -85,20 +85,17 @@ class MetricsCollector:
         self.keep_trace = keep_trace
         self.tti_count = 0
         self.delivered_packets = {cls: 0 for cls in CLASSES}
-        self.dropped_packets = {cls: 0 for cls in CLASSES}
         self.worst_delivered = {cls: 0 for cls in CLASSES}
         # delay histograms: delays are bounded small ints (ms)
         self.delay_hist = {cls: {} for cls in CLASSES}
         self.trace_rows = []
 
-    def record_tti(self, tti: int, drops, drains, decision=None):
-        """drops: per-UE dict of per-class deadline-dropped bytes this TTI;
-        drains: per-UE DrainResult or None."""
+    def record_tti(self, tti: int, dropped: int, sent: int, delivered, decision=None):
+        """dropped, sent: this TTI's deadline-dropped and transmitted bytes
+        over all UEs; delivered: (ue, [(cls, size, delay_ms), ...]) pairs."""
         self.tti_count += 1
-        for ue, res in enumerate(drains):
-            if res is None:
-                continue
-            for cls, size, delay in res.delivered:
+        for ue, pkts in delivered:
+            for cls, _size, delay in pkts:
                 self.delivered_packets[cls] += 1
                 h = self.delay_hist[cls]
                 h[delay] = h.get(delay, 0) + 1
@@ -107,33 +104,22 @@ class MetricsCollector:
         if self.keep_trace:
             sched = [] if decision is None else [
                 (rc, ue) for rc, ue in enumerate(decision.rc_to_ue) if ue is not None]
-            row = {
+            self.trace_rows.append({
                 "tti": tti,
-                "dropped_bytes": int(sum(sum(d.values()) for d in drops)),
+                "dropped_bytes": dropped,
                 "scheduled": sched,
                 "granted_bytes": 0 if decision is None else decision.total_grant,
-                "transmitted_bytes": int(sum(r.total for r in drains if r is not None)),
-            }
-            self.trace_rows.append(row)
+                "transmitted_bytes": sent,
+            })
 
     def finalize(self, buffers) -> MetricsSummary:
-        arrived = {cls: 0 for cls in CLASSES}
-        transmitted = {cls: 0 for cls in CLASSES}
-        deadline_dropped = {cls: 0 for cls in CLASSES}
-        overflow_dropped = {cls: 0 for cls in CLASSES}
-        resident = {cls: 0 for cls in CLASSES}
-        per_ue = np.zeros(self.n_ues, dtype=np.int64)
-        ok = True
-        for ue, buf in enumerate(buffers):
-            ok = ok and buf.conservation_holds()
-            per_ue[ue] = sum(buf.transmitted.values())
-            for cls in CLASSES:
-                arrived[cls] += buf.arrived[cls]
-                transmitted[cls] += buf.transmitted[cls]
-                deadline_dropped[cls] += buf.deadline_dropped[cls]
-                overflow_dropped[cls] += buf.overflow_dropped[cls]
-                resident[cls] += buf.occupancy[cls]
-                self.dropped_packets[cls] += buf.deadline_dropped_pkts[cls]
+        """The run's summary, read from the buffers' lifetime counters; it
+        changes no state, so a second call returns the same summary."""
+        def total(counter):
+            return {cls: sum(getattr(buf, counter)[cls] for buf in buffers) for cls in CLASSES}
+
+        per_ue = np.array([sum(buf.transmitted.values()) for buf in buffers], dtype=np.int64)
+        ok = all(buf.conservation_holds() for buf in buffers)
         try:
             jain = jain_index(per_ue)
             defined = True
@@ -148,10 +134,11 @@ class MetricsCollector:
             delay_max[cls] = mx
         return MetricsSummary(
             n_ues=self.n_ues, tti_count=self.tti_count, worst_ue=self.worst_ue,
-            arrived=arrived, transmitted=transmitted,
-            deadline_dropped=deadline_dropped, overflow_dropped=overflow_dropped,
-            resident=resident, delivered_packets=dict(self.delivered_packets),
-            dropped_packets=dict(self.dropped_packets),
+            arrived=total("arrived"), transmitted=total("transmitted"),
+            deadline_dropped=total("deadline_dropped"),
+            overflow_dropped=total("overflow_dropped"), resident=total("occupancy"),
+            delivered_packets=dict(self.delivered_packets),
+            dropped_packets=total("deadline_dropped_pkts"),
             per_ue_throughput_bytes=per_ue,
             worst_ue_delivered=dict(self.worst_delivered),
             delay_mean_ms=delay_mean, delay_p95_ms=delay_p95, delay_max_ms=delay_max,

@@ -1,7 +1,7 @@
 """Multi-class traffic: voice (two-state Markov), near-real-time video
 (frame bursts with truncated-Pareto sizes), self-similar data (aggregated
-Pareto on/off sources), plus the per-UE deadline-aware buffers and the
-urgency quantities the schedulers consume.
+Pareto on/off sources), plus the per-UE deadline-aware buffers, whose
+lifetime counters are the run's byte ledger.
 
 All byte accounting is integral. Delays are measured in TTIs (1 ms).
 
@@ -360,52 +360,44 @@ class UeBuffer:
         self.overflow_dropped = {cls: 0 for cls in CLASSES}
         self.deadline_dropped_pkts = {cls: 0 for cls in CLASSES}
 
-    def enqueue(self, packets) -> int:
-        """Append packets to their class FIFOs; tail-drop on overflow.
-        Returns the overflow-dropped byte count."""
-        overflow = 0
+    def enqueue(self, packets) -> None:
+        """Append packets to their class FIFOs; tail-drop on overflow."""
         for p in packets:
             self.arrived[p.cls] += p.size
             if self.total + p.size > self.capacity:
-                overflow += p.size
                 self.overflow_dropped[p.cls] += p.size
                 continue
             self.queues[p.cls].append(p)
             self.occupancy[p.cls] += p.size
             self.total += p.size
-        return overflow
 
-    def age_and_drop(self, tti: int) -> dict:
-        """Remove every real-time packet past its class deadline; record the
-        per-TTI drop history. Call once per TTI, before scheduling."""
-        dropped = {cls: 0 for cls in CLASSES}
+    def age_and_drop(self, tti: int) -> tuple[int, int]:
+        """Remove every real-time packet past its class deadline and record
+        the TTI's drops in the history; call once per TTI, before scheduling.
+        In the same pass over each queue head, sum the remaining bytes of the
+        packets at exactly the deadline: they cross it by the next TTI.
+        Returns (dropped, critical) bytes over both real-time classes."""
+        dropped = critical = 0
         for cls, deadline in self.deadlines.items():
             q = self.queues[cls]
+            gone = 0
             while q and tti - q[0].arrival_tti > deadline:
-                p = q.popleft()
-                dropped[cls] += p.remaining
-                self.deadline_dropped[cls] += p.remaining
+                gone += q.popleft().remaining
                 self.deadline_dropped_pkts[cls] += 1
-                self.occupancy[cls] -= p.remaining
-                self.total -= p.remaining
-        eps = dropped[VOICE] + dropped[VIDEO]
+            if gone:
+                self.deadline_dropped[cls] += gone
+                self.occupancy[cls] -= gone
+                self.total -= gone
+                dropped += gone
+            for p in q:
+                if tti - p.arrival_tti < deadline:
+                    break
+                critical += p.remaining
         if len(self.history) == self.history.maxlen:
             self.history_sum -= self.history[0]
-        self.history.append(eps)
-        self.history_sum += eps
-        return dropped
-
-    def critical_bytes(self, tti: int, cls: str) -> int:
-        """Bytes that will cross the class deadline by the next TTI (the
-        cohort at exactly the deadline; older ones were already dropped)."""
-        deadline = self.deadlines[cls]
-        total = 0
-        for p in self.queues[cls]:
-            if tti - p.arrival_tti >= deadline:
-                total += p.remaining
-            else:
-                break
-        return total
+        self.history.append(dropped)
+        self.history_sum += dropped
+        return dropped, critical
 
     def conservation_holds(self) -> bool:
         for cls in CLASSES:
@@ -414,20 +406,6 @@ class UeBuffer:
                                      + self.overflow_dropped[cls] + resident):
                 return False
         return True
-
-
-def compute_urgency(buf: UeBuffer, tti: int, mode: str = "single_class") -> tuple[int, int]:
-    """Urgency of one UE as (k, k_current); age_and_drop must already have
-    run this TTI. k_current is the bytes crossing their deadline by the next
-    TTI (single_class), plus the buffer build-up above the threshold as the
-    data component (mixed); the drop matrix is built from it. k, the
-    scheduler-facing penalty, adds the drop history window."""
-    if mode not in ("single_class", "mixed"):
-        raise TrafficError(f"unknown urgency mode: {mode}")
-    k_current = buf.critical_bytes(tti, VOICE) + buf.critical_bytes(tti, VIDEO)
-    if mode == "mixed":
-        k_current += max(0, buf.total - buf.threshold)
-    return k_current + buf.history_sum, k_current
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +424,8 @@ def load_arrival_trace(path, n_ues):
             if len(parts) != 4:
                 raise TrafficError(f"{path}:{lineno}: expected `tti ue class size`")
             tti, ue, cls, size = int(parts[0]), int(parts[1]), parts[2], int(parts[3])
+            if tti < 0:
+                raise TrafficError(f"{path}:{lineno}: TTI {tti} must be nonnegative")
             if cls not in CLASSES:
                 raise TrafficError(f"{path}:{lineno}: unknown class {cls!r}")
             if not 0 <= ue < n_ues:

@@ -6,23 +6,14 @@ real-time classes, buffer build-up for data - and fills the grant greedily by
 reward density with byte-level fragmentation, so a nearly-expired video
 packet can overtake fresh voice. Greedy with fragmentation attains the
 fractional-knapsack optimum.
+
+Both drains book the sent bytes in the buffer's counters only and return the
+(cls, size, delay_ms) of each fully sent packet, in drain order.
 """
 
-from dataclasses import dataclass, field
-
-from .traffic import CLASSES, DATA, UeBuffer, VIDEO, VOICE
+from .traffic import DATA, UeBuffer, VIDEO, VOICE
 
 _CLASS_RANK = {VOICE: 0, VIDEO: 1, DATA: 2}
-
-
-@dataclass
-class DrainResult:
-    sent: dict = field(default_factory=lambda: {cls: 0 for cls in CLASSES})
-    delivered: list = field(default_factory=list)  # (cls, size, delay_ms)
-
-    @property
-    def total(self) -> int:
-        return sum(self.sent.values())
 
 
 def _reward_pairs(buf: UeBuffer, tti: int):
@@ -46,16 +37,16 @@ def _reward_pairs(buf: UeBuffer, tti: int):
     return out
 
 
-def flip_drain(buf: UeBuffer, grant: int, tti: int) -> DrainResult:
+def flip_drain(buf: UeBuffer, grant: int, tti: int) -> list:
     """The knapsack drain: order every buffered packet by reward density
     (ties: higher reward, then older arrival, then voice before video before
     data), take whole packets until the grant runs short and fragment the
     last one to fill it exactly. Fully sent packets leave their queues;
     a fragment keeps its place and arrival, so its delay clock runs on.
     Sorting plain tuples keeps the comparison in C."""
-    res = DrainResult()
+    delivered = []
     if grant <= 0 or buf.total == 0:
-        return res
+        return delivered
     keyed = [(-r / p.remaining, -r, p.arrival_tti, _CLASS_RANK[p.cls], seq, p)
              for seq, (r, p) in enumerate(_reward_pairs(buf, tti))]
     keyed.sort()
@@ -70,20 +61,19 @@ def flip_drain(buf: UeBuffer, grant: int, tti: int) -> DrainResult:
         buf.transmitted[p.cls] += take
         buf.occupancy[p.cls] -= take
         buf.total -= take
-        res.sent[p.cls] += take
         if p.remaining == 0:
             touched.add(p.cls)
-            res.delivered.append((p.cls, p.size, tti - p.arrival_tti))
+            delivered.append((p.cls, p.size, tti - p.arrival_tti))
     for cls in touched:
         q = buf.queues[cls]
         buf.queues[cls] = type(q)(p for p in q if p.remaining > 0)
-    return res
+    return delivered
 
 
-def strict_priority_drain(buf: UeBuffer, grant: int, tti: int) -> DrainResult:
+def strict_priority_drain(buf: UeBuffer, grant: int, tti: int) -> list:
     """Drain voice, then video, then data, FIFO within each class,
     fragmenting at the budget boundary."""
-    res = DrainResult()
+    delivered = []
     budget = int(grant)
     for cls in (VOICE, VIDEO, DATA):
         q = buf.queues[cls]
@@ -96,12 +86,11 @@ def strict_priority_drain(buf: UeBuffer, grant: int, tti: int) -> DrainResult:
             sent += take
             if p.remaining == 0:
                 q.popleft()
-                res.delivered.append((cls, p.size, tti - p.arrival_tti))
+                delivered.append((cls, p.size, tti - p.arrival_tti))
         if sent:
             buf.transmitted[cls] += sent
             buf.occupancy[cls] -= sent
             buf.total -= sent
-            res.sent[cls] = sent
         if budget == 0:
             break
-    return res
+    return delivered

@@ -144,28 +144,63 @@ def test_validate_rejects_non_finite_channel_floats():
             assert f"channel.{key}" in str(err.value)
 
 
+def test_validate_rejects_non_finite_numbers():
+    # an infinite video load made the frame clock stand still, so run()
+    # never returned; an infinite voice load failed inside run() naming no
+    # key, and a NaN data load ran without data
+    for key, value in (("loads_mbps.video", math.inf), ("loads_mbps.voice", math.inf),
+                       ("loads_mbps.data", math.nan), ("ppp_intensity_per_km2", math.nan),
+                       ("video_params.size_scale", math.nan)):
+        head, _, name = key.partition(".")
+        d = {"policy": "darts", "n_ues": 4, "tti_count": 30}
+        d[head] = {**ScenarioConfig().to_dict()[head], name: value} if name else value
+        bad = ScenarioConfig.from_dict(d)
+        for check in (validate, run):
+            with pytest.raises(ConfigError) as err:
+                check(bad)
+            assert str(err.value).startswith(f"{key} must be a finite"), (key, err.value)
+
+
 def test_validate_rejects_wrongly_typed_values():
     # JSON 40.0 for tti_count or 48.0 for channel.n_prb_data failed inside
     # run() with a TypeError naming no key; "false" for channel.fast_fading
-    # ran with fading on; a fractional buffer_capacity was accepted
+    # ran with fading on; a fractional buffer_capacity was accepted; "24" for
+    # channel.p_max_dbm failed inside run() with a numpy UFuncTypeError, "1"
+    # for a load with a bare TypeError inside validate; voice packet_bytes
+    # 40.5 ran about 1% under the offered voice load; a list for channel
+    # raised AttributeError
     base = {"policy": "darts", "n_ues": 4, "tti_count": 30}
+    default = ScenarioConfig().to_dict()
     for key, value in (("tti_count", 40.0), ("history_window", 10.5),
                        ("buffer_capacity", 1000.5), ("seed", True), ("n_ues", "4"),
                        ("voice_deadline_ms", 50.0), ("keep_trace", "yes"),
                        ("channel.n_prb_data", 48.0), ("channel.prb_per_rc", 6.0),
-                       ("channel.fast_fading", "false")):
+                       ("channel.fast_fading", "false"),
+                       ("channel.p_max_dbm", "24"), ("channel.alpha_pc", True),
+                       ("channel.cqi_thresholds_db", ["-6"] * 15), ("channel", [1, 2]),
+                       ("ppp_intensity_per_km2", "150"),
+                       ("loads_mbps.voice", "1"), ("loads_mbps.data", True),
+                       ("voice_params.packet_bytes", 40.5),
+                       ("voice_params.sid_interval_ms", "160"),
+                       ("video_params.packets_per_frame", 8.0),
+                       ("video_params.size_scale", None),
+                       ("data_params.n_sources", 2.5), ("data_params.on_mean_ms", False)):
         d = dict(base)
-        if key.startswith("channel."):
-            d["channel"] = {key.split(".", 1)[1]: value}
-        else:
-            d[key] = value
+        head, _, name = key.partition(".")
+        d[head] = {**default[head], name: value} if name else value
         bad = ScenarioConfig.from_dict(d)
         for check in (validate, run):
             with pytest.raises(ConfigError) as err:
                 check(bad)
             assert str(err.value).startswith(f"{key} must be"), (key, err.value)
     validate(ScenarioConfig.from_dict(dict(base, seed=np.int64(3), keep_trace=True,
-                                           channel={"fast_fading": False})))
+                                           channel={"fast_fading": False, "p_max_dbm": 23,
+                                                    "cqi_thresholds_db": list(range(15))},
+                                           loads_mbps={VOICE: 1, VIDEO: np.float32(0.5)},
+                                           ppp_intensity_per_km2=150,
+                                           voice_params=dict(default["voice_params"],
+                                                             packet_bytes=np.int64(40),
+                                                             talk_mean_ms=3000))))
 
 
 def test_validate_rejects_nonpositive_min_ue_distance():
@@ -197,8 +232,9 @@ def test_short_cqi_trace_is_rejected_before_tti_0(tmp_path):
 
 def test_arrival_trace_rejects_bad_ue_and_size(tmp_path):
     from ulsched.traffic import TrafficError
+    # a negative TTI used to be dropped silently: the engine starts at TTI 0
     for bad, why in (("3 7 voice 40", "UE 7"), ("3 1 voice -40", "size -40"),
-                     ("3 -1 voice 40", "UE -1")):
+                     ("3 -1 voice 40", "UE -1"), ("-5 0 voice 40", "TTI -5")):
         arr = tmp_path / "arrivals.txt"
         arr.write_text(f"0 0 voice 40\n{bad}\n")
         cfg = ScenarioConfig(policy="darts", tti_count=10, n_ues=2, arrival_trace=str(arr))
@@ -404,3 +440,49 @@ def test_sweep_parallel_matches_serial():
     serial = sweep(cfg)
     parallel = sweep(cfg, jobs=2)
     assert serial == parallel
+
+
+def test_engine_passes_critical_history_and_dafs_build_up(monkeypatch):
+    # the urgency that reaches dispatch: k_current is each UE's critical
+    # bytes, plus max(b - threshold, 0) for dafs only, and k adds the drop
+    # history; dham passes none
+    import ulsched.engine as engine
+    from ulsched.traffic import UeBuffer
+    aged = []
+    age_and_drop = UeBuffer.age_and_drop
+
+    def spy_age(buf, tti):
+        out = age_and_drop(buf, tti)
+        aged.append((out[1], buf.history_sum))
+        return out
+
+    monkeypatch.setattr(UeBuffer, "age_and_drop", spy_age)
+    seen = []
+    dispatch = engine.dispatch
+
+    def spy_dispatch(policy, W, k, k_current):
+        seen.append((policy, W.b.copy(), k, k_current, aged[-W.n_ues:]))
+        return dispatch(policy, W, k, k_current)
+
+    monkeypatch.setattr(engine, "dispatch", spy_dispatch)
+    threshold = 3000
+    for policy in ("dham", "darts", "dafs"):
+        seen.clear()
+        run(ScenarioConfig(policy=policy, seed=3, tti_count=120, n_ues=10,
+                           buffer_capacity=8000, buffer_threshold=threshold,
+                           voice_deadline_ms=5, video_deadline_ms=8, history_window=20,
+                           loads_mbps={VOICE: 8.0, VIDEO: 8.0, DATA: 16.0}))
+        assert len(seen) == 120
+        for _policy, b, k, k_current, rows in seen:
+            critical, history = (np.array(x, dtype=np.int64) for x in zip(*rows))
+            if policy == "dham":
+                assert k is None and k_current is None
+                continue
+            build_up = np.maximum(b - threshold, 0) if policy == "dafs" else 0
+            assert np.array_equal(k_current, critical + build_up)
+            assert np.array_equal(k, k_current + history)
+            assert k.dtype == k_current.dtype == np.int64
+        if policy != "dham":  # every term was nonzero somewhere in the run
+            assert any(c > 0 for *_x, rows in seen for c, _h in rows)
+            assert any(h > 0 for *_x, rows in seen for _c, h in rows)
+            assert policy == "darts" or any(np.any(b > threshold) for _p, b, *_x in seen)

@@ -1,5 +1,7 @@
 """Metrics tests: fairness index, worst-user selection, aggregation."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -79,7 +81,7 @@ def test_collector_zero_run_convention():
     col = MetricsCollector(n_ues=3, worst_ue=0)
     bufs = [UeBuffer() for _ in range(3)]
     for tti in range(5):
-        col.record_tti(tti, [{}] * 3, [None] * 3)
+        col.record_tti(tti, 0, 0, [])
     s = col.finalize(bufs)
     assert s.total_transmitted == 0
     assert s.jain == 1.0 and not s.jain_defined
@@ -90,8 +92,7 @@ def test_collector_single_ue_jain():
     col = MetricsCollector(n_ues=1, worst_ue=0)
     buf = UeBuffer()
     buf.enqueue([make_packet(VOICE, 40, 0)])
-    res = strict_priority_drain(buf, 40, 0)
-    col.record_tti(0, [{}], [res])
+    col.record_tti(0, 0, 40, [(0, strict_priority_drain(buf, 40, 0))])
     s = col.finalize([buf])
     assert s.jain == pytest.approx(1.0) and s.jain_defined
     assert s.delivered_packets[VOICE] == 1
@@ -103,9 +104,9 @@ def test_collector_delay_stats_and_worst_tracking():
     bufs = [UeBuffer(), UeBuffer()]
     bufs[0].enqueue([make_packet(VOICE, 40, 0)])
     bufs[1].enqueue([make_packet(VIDEO, 100, 0), make_packet(DATA, 50, 0)])
-    drains = [strict_priority_drain(bufs[0], 40, 10),
-              strict_priority_drain(bufs[1], 150, 20)]
-    col.record_tti(20, [{}, {}], drains)
+    delivered = [(0, strict_priority_drain(bufs[0], 40, 10)),
+                 (1, strict_priority_drain(bufs[1], 150, 20))]
+    col.record_tti(20, 0, 190, delivered)
     s = col.finalize(bufs)
     assert s.delay_mean_ms[VOICE] == pytest.approx(10.0)
     assert s.delay_max_ms[VIDEO] == 20
@@ -118,7 +119,7 @@ def test_summary_csv_roundtrip(tmp_path):
     col = MetricsCollector(n_ues=1, worst_ue=0)
     buf = UeBuffer()
     buf.enqueue([make_packet(VOICE, 40, 0)])
-    col.record_tti(0, [{}], [strict_priority_drain(buf, 40, 0)])
+    col.record_tti(0, 0, 40, [(0, strict_priority_drain(buf, 40, 0))])
     s = col.finalize([buf])
     row = summary_row(s, "dham", "strict", 7, {VOICE: 1.0, VIDEO: 0.0, DATA: 0.0})
     path = tmp_path / "out.csv"
@@ -128,3 +129,21 @@ def test_summary_csv_roundtrip(tmp_path):
     assert back[0]["policy"] == "dham"
     assert back[0]["transmitted_bytes"] == "40"
     assert back[0]["conservation_ok"] == "1"
+
+
+def test_finalize_twice_gives_equal_summaries():
+    # finalize used to add the buffers' dropped-packet counts into the
+    # collector, so a second call doubled dropped_packets
+    col = MetricsCollector(n_ues=2, worst_ue=0)
+    bufs = [UeBuffer(), UeBuffer()]
+    bufs[0].enqueue([make_packet(VOICE, 40, 0), make_packet(VIDEO, 100, 0)])
+    bufs[1].enqueue([make_packet(VOICE, 30, 0), make_packet(DATA, 50, 0)])
+    for buf in bufs:
+        buf.age_and_drop(51)
+    strict_priority_drain(bufs[0], 60, 51)
+    first, second = col.finalize(bufs), col.finalize(bufs)
+    assert first.dropped_packets == {VOICE: 2, VIDEO: 0, DATA: 0}
+    assert first.conservation_ok and second.conservation_ok
+    for f in fields(first):
+        a, b = getattr(first, f.name), getattr(second, f.name)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name

@@ -6,6 +6,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ulsched.assignment import brute_force_assignment, replicate_penalty_dummies, solve
 from ulsched.schedulers import (
@@ -315,3 +316,46 @@ def test_dispatch_equals_the_policy_on_the_active_rows():
                                          for x in want.rc_to_ue)
             assert got.objective == want.objective
     assert regimes == {"penalty", "square", "surplus"}
+
+
+@st.composite
+def _dispatch_inputs(draw):
+    """A CQI grid of 0-5 UEs x 1-5 RCs, buffers with idle (zero) rows, and
+    k = k_current + a drop history, so k_current differs from k."""
+    n = draw(st.integers(0, 5))
+    m = draw(st.integers(1, 5))
+    cqi = draw(st.lists(st.lists(st.integers(1, 15), min_size=m, max_size=m),
+                        min_size=n, max_size=n))
+    b = draw(st.lists(st.sampled_from([0, 0, 1, 40, 300, 700, 2000]), min_size=n, max_size=n))
+    k_cur = draw(st.lists(st.integers(0, 800), min_size=n, max_size=n))
+    hist = draw(st.lists(st.integers(0, 800), min_size=n, max_size=n))
+    W = build_traffic_matrix(np.array(cqi, dtype=np.int64).reshape(n, m), b)
+    k_cur = np.array(k_cur, dtype=np.int64)
+    return W, k_cur + np.array(hist, dtype=np.int64), k_cur
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=_dispatch_inputs(), policy=st.sampled_from(POLICIES))
+def test_dispatch_decisions_are_consistent(inputs, policy):
+    """No grant exceeds its buffer; each RC has at most one UE, and rc_to_ue
+    and ue_rcs agree; outside the surplus regime (as many active UEs as RCs
+    or more) each UE has at most one RC and its grant is the w of that RC.
+    In the surplus regime each round grants min(p, the bytes left), so the
+    grant is min(b, sum of p over its RCs)."""
+    W, k, k_cur = inputs
+    dec = dispatch(policy, W, k, k_cur)
+    n, m = W.n_ues, W.n_rcs
+    surplus = np.count_nonzero(W.b) < m
+    assert dec.grants.shape == (n,) and np.all(dec.grants >= 0)
+    assert np.all(dec.grants <= W.b)
+    assert len(dec.rc_to_ue) == m and len(dec.ue_rcs) == n
+    held = [(rc, ue) for ue, rcs in enumerate(dec.ue_rcs) for rc in rcs]
+    assert sorted(held) == [(rc, ue) for rc, ue in enumerate(dec.rc_to_ue) if ue is not None]
+    for ue, rcs in enumerate(dec.ue_rcs):
+        if W.b[ue] == 0:
+            assert rcs == ()
+        if surplus:
+            assert dec.grants[ue] == min(W.b[ue], sum(W.p[ue, rc] for rc in rcs))
+        else:
+            assert len(rcs) <= 1
+            assert dec.grants[ue] == sum(W.w[ue, rc] for rc in rcs)

@@ -1,4 +1,5 @@
-"""Traffic model tests: samplers, sources, buffer discipline, urgency."""
+"""Traffic model tests: samplers, sources, buffer discipline, deadline drops
+and critical bytes."""
 
 import numpy as np
 import pytest
@@ -15,13 +16,13 @@ from ulsched.traffic import (
     VOICE,
     VideoSource,
     VoiceSource,
-    compute_urgency,
     make_packet,
     truncated_pareto_mean,
     truncated_pareto_sample,
     voice_interval_for_load,
     video_fps_for_load,
 )
+from ulsched.ue_tx import strict_priority_drain
 
 
 # ---------------------------------------------------------------------------
@@ -267,88 +268,89 @@ def test_enqueue_accounting_and_fifo():
 
 def test_enqueue_overflow_tail_drop():
     buf = UeBuffer(capacity=100)
-    lost = buf.enqueue([make_packet(DATA, 80, 0), make_packet(DATA, 30, 0),
-                        make_packet(VOICE, 10, 0)])
-    assert lost == 30
+    buf.enqueue([make_packet(DATA, 80, 0), make_packet(DATA, 30, 0),
+                 make_packet(VOICE, 10, 0)])
     assert buf.total == 90
-    assert buf.overflow_dropped[DATA] == 30
+    assert buf.overflow_dropped == {VOICE: 0, VIDEO: 0, DATA: 30}
     assert buf.conservation_holds()
 
 
 def test_age_and_drop_thresholds():
+    # (dropped, critical): a packet at exactly its deadline is kept and is
+    # critical; one TTI later it is dropped
     buf = UeBuffer()
     buf.enqueue([make_packet(VOICE, 40, 0)])
-    assert buf.age_and_drop(50) == {VOICE: 0, VIDEO: 0, DATA: 0}  # at deadline: kept
-    dropped = buf.age_and_drop(51)
-    assert dropped[VOICE] == 40  # 51 ms voice is gone
+    assert buf.age_and_drop(50) == (0, 40)  # at deadline: kept
+    assert buf.age_and_drop(51) == (40, 0)  # 51 ms voice is gone
+    assert buf.deadline_dropped[VOICE] == 40 and buf.deadline_dropped_pkts[VOICE] == 1
 
     buf2 = UeBuffer()
     buf2.enqueue([make_packet(VIDEO, 200, 0), make_packet(DATA, 999, 0)])
-    assert buf2.age_and_drop(150)[VIDEO] == 0   # 150 ms video retained
-    assert buf2.age_and_drop(151)[VIDEO] == 200
-    assert buf2.age_and_drop(10_000)[DATA] == 0  # data never deadline-dropped
+    assert buf2.age_and_drop(150) == (0, 200)   # 150 ms video retained
+    assert buf2.age_and_drop(151) == (200, 0)
+    assert buf2.age_and_drop(10_000) == (0, 0)  # data never deadline-dropped
+    assert buf2.deadline_dropped[DATA] == 0
     assert buf2.occupancy[DATA] == 999
 
 
-def test_compute_urgency_single_class():
+def test_age_and_drop_reports_the_bytes_at_the_deadline():
     buf = UeBuffer()
-    buf.enqueue([make_packet(VOICE, 255, 0)])
-    buf.age_and_drop(50)
-    # (k, k_current): the 255 bytes cross the deadline by the next TTI
-    assert compute_urgency(buf, 50, "single_class") == (255, 255)
+    buf.enqueue([make_packet(VOICE, 255, 0), make_packet(VOICE, 40, 1)])
+    # the 255 bytes cross the deadline by the next TTI; the younger 40 do not
+    assert buf.age_and_drop(50) == (0, 255)
+    assert buf.history_sum == 0
 
     empty = UeBuffer()
-    empty.age_and_drop(0)
-    assert compute_urgency(empty, 0, "single_class") == (0, 0)
+    assert empty.age_and_drop(0) == (0, 0)
     assert empty.total == 0
 
 
-def test_compute_urgency_mixed_components():
+def test_critical_sum_covers_both_realtime_classes():
     buf = UeBuffer(capacity=10_000, threshold=4000)
-    buf.enqueue([make_packet(VOICE, 100, 0), make_packet(VIDEO, 80, 0)])
-    buf.enqueue([make_packet(DATA, 4820, 10)])
-    # at tti 150: voice at 150 > 50 would drop... enqueue fresh instead
-    buf2 = UeBuffer(capacity=10_000, threshold=4000)
-    buf2.enqueue([make_packet(VOICE, 100, 0)])
-    buf2.enqueue([make_packet(VIDEO, 80, -100)])
-    buf2.enqueue([make_packet(DATA, 4820, 0)])
-    buf2.age_and_drop(50)
-    assert buf2.critical_bytes(50, VOICE) == 100  # voice at exactly the deadline
-    assert buf2.critical_bytes(50, VIDEO) == 80   # video at exactly the deadline (arrived -100)
-    assert buf2.history_sum == 0
-    assert compute_urgency(buf2, 50, "single_class") == (180, 180)
-    # mixed adds m_d = 5000 - 4000
-    assert compute_urgency(buf2, 50, "mixed") == (100 + 80 + 1000, 100 + 80 + 1000)
+    buf.enqueue([make_packet(VOICE, 100, 0)])
+    buf.enqueue([make_packet(VIDEO, 80, -100)])   # video at exactly its deadline at 50
+    buf.enqueue([make_packet(DATA, 4820, 0)])     # data is never critical
+    assert buf.age_and_drop(50) == (0, 100 + 80)
+    assert buf.history_sum == 0
+    assert buf.total == 5000
 
 
-def test_compute_urgency_pure():
+def test_critical_sum_counts_a_fragment_by_remaining():
+    buf = UeBuffer()
+    buf.enqueue([make_packet(VOICE, 300, 0), make_packet(VIDEO, 500, -100)])
+    strict_priority_drain(buf, 420, 10)   # voice gone, video cut to 380
+    assert buf.queues[VIDEO][0].remaining == 380
+    assert buf.age_and_drop(50) == (0, 380)
+    assert buf.age_and_drop(51) == (380, 0)
+    assert buf.deadline_dropped[VIDEO] == 380
+    assert buf.conservation_holds()
+
+
+def test_age_and_drop_at_the_deadline_keeps_the_bytes():
     buf = UeBuffer()
     buf.enqueue([make_packet(VOICE, 40, 0)])
-    buf.age_and_drop(50)
-    a = compute_urgency(buf, 50, "mixed")
-    b = compute_urgency(buf, 50, "mixed")
-    assert a == b
-    assert buf.total == 40
+    assert buf.age_and_drop(50) == buf.age_and_drop(50) == (0, 40)
+    assert buf.total == 40 and buf.queues[VOICE][0].remaining == 40
 
 
 def test_history_window_accumulation():
-    # never scheduled: after the window fills, k equals current critical
-    # bytes plus exactly the last n per-TTI drop values
+    # never scheduled: history_sum is exactly the last n per-TTI drops, and
+    # the critical bytes are the packet at its deadline
     buf = UeBuffer(history_window=5)
     drops = []
     for tti in range(60):
         buf.enqueue([make_packet(VOICE, 10, tti)])
-        d = buf.age_and_drop(tti)
-        drops.append(d[VOICE] + d[VIDEO])
-        k, k_current = compute_urgency(buf, tti, "single_class")
+        dropped, critical = buf.age_and_drop(tti)
+        drops.append(dropped)
+        assert dropped == (10 if tti > 50 else 0)
+        assert critical == (10 if tti >= 50 else 0)
         assert buf.history_sum == sum(drops[-5:])
-        assert k == k_current + sum(drops[-5:])
+        assert list(buf.history) == drops[-5:]
 
 
 def test_conservation_identity_random_traffic():
     rng = np.random.default_rng(11)
     buf = UeBuffer(capacity=3000)
-    from ulsched.ue_tx import strict_priority_drain
     for tti in range(2000):
         pkts = []
         for _ in range(int(rng.integers(0, 4))):

@@ -30,9 +30,9 @@ def test_old_video_outranks_fresh_voice():
     assert rewards[VIDEO] == pytest.approx(149 / 150)
     assert rewards[VIDEO] > rewards[VOICE]
     # small grant: the flip drain spends it on the video packet first
-    res = flip_drain(buf, grant=100, tti=149)
-    assert res.sent[VIDEO] == 100
-    assert res.sent[VOICE] == 0
+    flip_drain(buf, grant=100, tti=149)
+    assert buf.transmitted[VIDEO] == 100
+    assert buf.transmitted[VOICE] == 0
 
 
 def test_data_reward_zero_below_threshold():
@@ -48,20 +48,20 @@ def test_data_reward_zero_below_threshold():
 def test_grant_zero_transmits_nothing():
     buf = _buf()
     buf.enqueue([make_packet(VOICE, 40, 0)])
-    res = flip_drain(buf, 0, 1)
-    assert res.total == 0 and res.delivered == []
-    assert strict_priority_drain(buf, 0, 1).total == 0
+    assert flip_drain(buf, 0, 1) == []
+    assert strict_priority_drain(buf, 0, 1) == []
     assert buf.total == 40 and buf.queues[VOICE][0].remaining == 40
+    assert sum(buf.transmitted.values()) == 0
 
 
 def test_slack_grant_transmits_everything():
     buf = _buf()
     buf.enqueue([make_packet(VOICE, 40, 0), make_packet(VIDEO, 300, 0),
                  make_packet(DATA, 500, 0)])
-    res = flip_drain(buf, grant=10_000, tti=5)
-    assert res.total == 840
+    delivered = flip_drain(buf, grant=10_000, tti=5)
+    assert sum(buf.transmitted.values()) == 840
     assert buf.total == 0
-    assert len(res.delivered) == 3
+    assert len(delivered) == 3
 
 
 def _lp_fractional_optimum(rewards, sizes, grant):
@@ -101,19 +101,20 @@ def test_greedy_reward_matches_lp_optimum():
         buf, pkts, rewards = _known_reward_buffer(rng, tti)
         sizes = [p.size for p in pkts]
         grant = int(rng.integers(0, sum(sizes) + 200))
-        res = flip_drain(buf, grant, tti)
+        before = buf.total
+        flip_drain(buf, grant, tti)
         got = sum(r * (s - p.remaining) / s for r, s, p in zip(rewards, sizes, pkts))
         want = _lp_fractional_optimum(rewards, sizes, grant)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
-        assert res.total == min(grant, sum(sizes))
+        assert before - buf.total == min(grant, sum(sizes))
         assert buf.conservation_holds()
 
 
 def test_equal_rewards_still_fill_grant():
     buf = _buf()
     buf.enqueue([make_packet(DATA, 100, i) for i in range(5)])  # below threshold: reward 0
-    res = flip_drain(buf, 230, tti=10)
-    assert res.total == 230
+    flip_drain(buf, 230, tti=10)
+    assert buf.transmitted[DATA] == 230 and buf.total == 270
     assert [p.remaining for p in buf.queues[DATA]] == [70, 100, 100]
 
 
@@ -124,8 +125,8 @@ def test_flip_monotone_in_video_delay():
         video = make_packet(VIDEO, 120, arrival_tti=150 - delay)
         others = [make_packet(VOICE, 40, 130), make_packet(VOICE, 40, 135)]
         buf.enqueue([video] + others)
-        res = flip_drain(buf, 10_000, tti=150)
-        order = [cls for cls, _size, _delay in res.delivered]  # drain order: all sent whole
+        delivered = flip_drain(buf, 10_000, tti=150)
+        order = [cls for cls, _size, _delay in delivered]  # drain order: all sent whole
         return order.index(VIDEO)
     positions = [position(d) for d in (10, 60, 110, 140, 150)]
     assert positions == sorted(positions, reverse=True)
@@ -136,15 +137,14 @@ def test_fragment_keeps_arrival_and_position():
     first = make_packet(VOICE, 100, 0)
     second = make_packet(VOICE, 100, 5)
     buf.enqueue([first, second])
-    res = strict_priority_drain(buf, 130, tti=10)
-    assert res.sent[VOICE] == 130
+    delivered = strict_priority_drain(buf, 130, tti=10)
+    assert buf.transmitted[VOICE] == 130
     assert [p.arrival_tti for p in buf.queues[VOICE]] == [5]
     assert buf.queues[VOICE][0].remaining == 70
     # delivery recorded only for the fully sent packet, at its delay
-    assert res.delivered == [(VOICE, 100, 10)]
+    assert delivered == [(VOICE, 100, 10)]
     # the fragment completes later and is counted at last-byte time
-    res2 = strict_priority_drain(buf, 70, tti=12)
-    assert res2.delivered == [(VOICE, 100, 7)]
+    assert strict_priority_drain(buf, 70, tti=12) == [(VOICE, 100, 7)]
     assert buf.total == 0
 
 
@@ -155,8 +155,8 @@ def test_flip_fragment_mid_queue_preserves_fifo():
     buf.enqueue([old_big, newer_small])
     # at tti 50: densities (50/150)/200 vs (10/150)/20 -> the newer small
     # packet wins on density and the old one is cut mid-queue
-    res = flip_drain(buf, grant=120, tti=50)
-    assert res.sent[VIDEO] == 120
+    assert flip_drain(buf, grant=120, tti=50) == [(VIDEO, 20, 10)]
+    assert buf.transmitted[VIDEO] == 120
     q = list(buf.queues[VIDEO])
     assert len(q) == 1 and q[0].arrival_tti == 0 and q[0].remaining == 100
     assert buf.conservation_holds()
@@ -165,16 +165,16 @@ def test_flip_fragment_mid_queue_preserves_fifo():
 def test_strict_priority_order_and_boundaries():
     buf = _buf()
     buf.enqueue([make_packet(VOICE, 100, 0), make_packet(VIDEO, 200, 0)])
-    res = strict_priority_drain(buf, 150, tti=1)
-    assert res.sent == {VOICE: 100, VIDEO: 50, DATA: 0}
+    assert strict_priority_drain(buf, 150, tti=1) == [(VOICE, 100, 1)]
+    assert buf.transmitted == {VOICE: 100, VIDEO: 50, DATA: 0}
     assert buf.occupancy[VIDEO] == 150
 
 
 def test_data_drains_when_alone():
     buf = _buf()
     buf.enqueue([make_packet(DATA, 300, 0)])
-    res = strict_priority_drain(buf, 1000, tti=1)
-    assert res.sent[DATA] == 300
+    assert strict_priority_drain(buf, 1000, tti=1) == [(DATA, 300, 1)]
+    assert buf.transmitted[DATA] == 300
 
 
 def test_flip_drain_conservation():
@@ -186,6 +186,6 @@ def test_flip_drain_conservation():
                 for _ in range(30)]
         buf.enqueue(pkts)
         grant = int(rng.integers(0, 12_000))
-        res = flip_drain(buf, grant, tti=45)
-        assert res.total == min(grant, sum(p.size for p in pkts))
+        flip_drain(buf, grant, tti=45)
+        assert sum(buf.transmitted.values()) == min(grant, sum(p.size for p in pkts))
         assert buf.conservation_holds()

@@ -7,10 +7,10 @@ Channel quality is block fading: constant within a TTI, redrawn per TTI.
 
 `CqiSource` is the one realization path. It computes the static link terms
 once; each `grid` call (one per TTI, in TTI order) adds that TTI's Rayleigh
-fading and first-tier interference. Fading is drawn FADING_BLOCK_TTIS TTIs
-ahead per UE, which leaves the realization unchanged: every UE owns its
-fading generator, and `exponential(size=N)` yields the same values as N
-smaller draws in turn.
+fading and first-tier interference, both drawn FADING_BLOCK_TTIS TTIs ahead.
+That leaves the realization unchanged: every UE owns its fading generator,
+the interference stream keeps its per-TTI draw order, and a fill of N values
+yields the same values as N smaller draws in turn.
 """
 
 import math
@@ -111,10 +111,6 @@ def _dbm_to_mw(dbm):
     return np.power(10.0, np.asarray(dbm, dtype=float) / 10.0)
 
 
-def _mw_to_dbm(mw):
-    return 10.0 * np.log10(mw)
-
-
 def sinr_to_cqi(sinr_db, thresholds=None):
     """Piecewise-constant step map onto CQI 1..15; [t_k, t_{k+1}) -> k,
     clamped below t_1 to 1 and at or above t_15 to 15."""
@@ -139,31 +135,38 @@ def cqi_to_bytes_per_rc(cqi):
 
 
 # ---------------------------------------------------------------------------
-# per-TTI realization
+# block realization
 # ---------------------------------------------------------------------------
 
-def rayleigh_fading_db(rng, size):
-    """Rayleigh-equivalent power fading in dB: 10 log10 X with X ~ Exp(1)."""
-    return 10.0 * np.log10(rng.exponential(1.0, size=size))
+def draw_fading_db(rngs, out) -> None:
+    """Fill out[u], UE u's (FADING_BLOCK_TTIS, rc_count) block, from rngs[u] with
+    Rayleigh-equivalent power fading in dB: 10 log10 X with X ~ Exp(1)."""
+    for rng, block in zip(rngs, out):
+        rng.standard_exponential(out=block)
+    np.log10(out, out=out)
+    out *= 10.0
 
 
-def draw_interference_dbm(topo: Topology, cfg: ChannelConfig, rng) -> np.ndarray:
-    """Received interference power (6, rc_count) dBm at the serving site.
-
-    Per TTI and RC each first-tier cell holds one uniformly placed UE
-    transmitting under the same power-control law toward its own site.
+def interference_block_dbm(topo: Topology, cfg: ChannelConfig, rng, draws) -> np.ndarray:
+    """Received interference power (FADING_BLOCK_TTIS, 6, rc_count) dBm at the
+    serving site. Per TTI and RC each first-tier cell holds one uniformly
+    placed UE transmitting under the same power-control law toward its own
+    site. `draws` holds the block's radius and angle uniforms and shadowing
+    normals, (3, FADING_BLOCK_TTIS, 6, rc_count), refilled in TTI order.
     """
-    n_rc = cfg.rc_count
-    d_own = topo.cell_radius_m * np.sqrt(rng.uniform(0.0, 1.0, size=(6, n_rc)))
-    d_own = np.maximum(d_own, cfg.min_ue_distance_m)
-    theta = rng.uniform(0.0, 2.0 * math.pi, size=(6, n_rc))
+    radius, angle, shadow = draws
+    for t in range(FADING_BLOCK_TTIS):
+        rng.random(out=radius[t])
+        rng.random(out=angle[t])
+        rng.standard_normal(out=shadow[t])
+    d_own = np.maximum(topo.cell_radius_m * np.sqrt(radius), cfg.min_ue_distance_m)
+    theta = angle * (2.0 * math.pi)
     x = topo.neighbor_centers[:, 0, None] + d_own * np.cos(theta)
     y = topo.neighbor_centers[:, 1, None] + d_own * np.sin(theta)
     d_serving = np.maximum(np.hypot(x, y), cfg.min_ue_distance_m)
-    ptx = uplink_tx_power(path_loss(d_own) + cfg.penetration_loss_db,
-                          cfg.prb_per_rc, cfg)
-    shadow_serving = rng.normal(0.0, cfg.shadowing_sigma_db, size=(6, n_rc))
-    return ptx - (path_loss(d_serving) + cfg.penetration_loss_db + shadow_serving)
+    ptx = uplink_tx_power(path_loss(d_own) + cfg.penetration_loss_db, cfg.prb_per_rc, cfg)
+    return ptx - (path_loss(d_serving) + cfg.penetration_loss_db
+                  + cfg.shadowing_sigma_db * shadow)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +185,10 @@ def load_cqi_trace(path, n_ue: int, n_rc: int) -> np.ndarray:
             if len(parts) != n_ue * n_rc:
                 raise ChannelError(
                     f"{path}:{lineno}: expected {n_ue * n_rc} values, got {len(parts)}")
-            vals = np.array([int(p) for p in parts], dtype=np.int64)
+            try:
+                vals = np.array([int(p) for p in parts], dtype=np.int64)
+            except ValueError as err:
+                raise ChannelError(f"{path}:{lineno}: {err}") from None
             if np.any((vals < 1) | (vals > 15)):
                 raise ChannelError(f"{path}:{lineno}: CQI values must be in 1..15")
             rows.append(vals.reshape(n_ue, n_rc))
@@ -198,9 +204,9 @@ class CqiSource:
     In model mode, call `grid` once per TTI in TTI order: the k-th call
     returns the k-th TTI's grid whatever `tti` says. fading_rngs holds one
     generator per UE, so adding a UE never perturbs the draws of the others;
-    interference placement uses its own stream, drawn per call. Each UE's
-    fading is drawn FADING_BLOCK_TTIS TTIs ahead; the grids are the same as
-    with per-TTI draws, deterministic for a fixed master seed.
+    interference placement uses its own stream. Every FADING_BLOCK_TTIS calls
+    refill the block buffers; the grids are the same as with per-TTI draws,
+    deterministic for a fixed master seed.
     """
 
     def __init__(self, topo, cfg, fading_rngs=None, interference_rng=None, trace=None):
@@ -213,27 +219,27 @@ class CqiSource:
             self._calls = 0
             pc = pc_estimate_db(topo, cfg)
             ptx = uplink_tx_power(pc, cfg.prb_per_rc, cfg)
-            self._signal = (ptx - (pc + topo.ue_shadow_db))[:, None]  # (n_ue, 1) dBm
+            self._signal = (ptx - (pc + topo.ue_shadow_db))[:, None, None]  # dBm
             self._noise_mw = _dbm_to_mw(cfg.noise_dbm_per_rc())
             self._thresholds = np.asarray(cfg.cqi_thresholds_db)
-            # signal plus fading, refilled in place every FADING_BLOCK_TTIS calls
-            self._faded = np.empty((FADING_BLOCK_TTIS, topo.n_ues, cfg.rc_count))
+            # per block: signal plus fading (n_ue, TTI, RC) and the noise-plus-
+            # interference dBm (TTI, RC), from the draws (3, TTI, 6, RC)
+            block = (FADING_BLOCK_TTIS, cfg.rc_count)
+            self._faded = np.broadcast_to(self._signal, (topo.n_ues,) + block).copy()
+            self._denom = np.empty(block)
+            self._draws = np.empty((3, FADING_BLOCK_TTIS, 6, cfg.rc_count))
 
     def grid(self, tti: int) -> np.ndarray:
         if self._trace is not None:
             return self._trace[min(tti, len(self._trace) - 1)]
-        cfg = self._cfg
-        signal = self._signal
-        if cfg.fast_fading:
-            i = self._calls % FADING_BLOCK_TTIS
-            self._calls += 1
-            if i == 0:
-                shape = (FADING_BLOCK_TTIS, cfg.rc_count)
-                for u in range(self._topo.n_ues):
-                    self._faded[:, u] = rayleigh_fading_db(self._fading_rngs[u], shape)
-                self._faded += signal
-            signal = self._faded[i]
-        interference_mw = _dbm_to_mw(
-            draw_interference_dbm(self._topo, cfg, self._interference_rng)).sum(axis=0)
-        sinr_db = signal - _mw_to_dbm(self._noise_mw + interference_mw)[None, :]
-        return sinr_to_cqi(sinr_db, self._thresholds)
+        i = self._calls % FADING_BLOCK_TTIS
+        self._calls += 1
+        if i == 0:
+            if self._cfg.fast_fading:
+                draw_fading_db(self._fading_rngs, self._faded)
+                self._faded += self._signal
+            interference = interference_block_dbm(self._topo, self._cfg,
+                                                  self._interference_rng, self._draws)
+            self._denom[...] = 10.0 * np.log10(self._noise_mw
+                                               + _dbm_to_mw(interference).sum(axis=1))
+        return sinr_to_cqi(self._faded[:, i] - self._denom[i], self._thresholds)

@@ -33,6 +33,7 @@ from .traffic import (
     make_packet,
     video_fps_for_load,
     voice_interval_for_load,
+    voice_talk_share,
 )
 from .ue_tx import flip_drain, strict_priority_drain
 
@@ -121,8 +122,21 @@ _INT_KEYS = ("seed", "tti_count", "n_ues", "buffer_capacity", "buffer_threshold"
 _CHANNEL_INT_KEYS = ("n_prb_total", "n_prb_data", "prb_per_rc")
 _CHANNEL_REAL_KEYS = tuple(f for f in ChannelConfig.__dataclass_fields__
                            if f not in _CHANNEL_INT_KEYS + ("fast_fading", "cqi_thresholds_db"))
-_PARAM_INT_KEYS = frozenset({"packet_bytes", "sid_bytes", "packets_per_frame", "min_frame_bytes",
-                             "n_sources", "payload_min", "payload_max"})
+# each source parameter's range, as a test of (value, its section) and in words
+_PARAM_RANGES = {
+    **dict.fromkeys(("packet_bytes", "sid_bytes", "packets_per_frame", "payload_min"),
+                    (lambda v, p: v >= 1, "at least 1")),
+    **dict.fromkeys(("min_frame_bytes", "n_sources"), (lambda v, p: v >= 0, "nonnegative")),
+    **dict.fromkeys(("sid_interval_ms", "size_scale", "ia_scale_ms", "source_rate_bps",
+                     "on_mean_ms"), (lambda v, p: v > 0, "positive")),
+    **dict.fromkeys(("size_shape", "ia_shape", "on_shape", "off_shape", "cap_factor"),
+                    (lambda v, p: v > 1, "above 1")),
+    **dict.fromkeys(("talk_mean_ms", "silence_mean_ms"),
+                    (lambda v, p: v == 0 or v >= 1, "0 (a state never left) or at least 1")),
+    "size_max": (lambda v, p: v > p["size_scale"], "above size_scale"),
+    "ia_max_ms": (lambda v, p: v > p["ia_scale_ms"], "above ia_scale_ms"),
+    "payload_max": (lambda v, p: v >= p["payload_min"], "at least payload_min"),
+}
 
 
 def _is_int(value) -> bool:
@@ -216,11 +230,14 @@ def validate(cfg: ScenarioConfig) -> None:
         if bad:
             what = "is not a known key" if bad[0] in given else "is missing"
             raise ConfigError(f"{key}.{bad[0]} {what}")
-        for name, value in given.items():
-            if name in _PARAM_INT_KEYS:
+        for name, value in given.items():  # a key takes the type of its default
+            if _is_int(known[name]):
                 _expect(f"{key}.{name}", value, _is_int, "an integer")
             else:
                 _expect(f"{key}.{name}", value, _is_real, "a finite real number")
+        for name, value in given.items():
+            in_range, what = _PARAM_RANGES[name]
+            _expect(f"{key}.{name}", value, lambda v: in_range(v, given), what)
     if cfg.history_window < 1:
         raise ConfigError("history_window must be at least 1")
     for key in ("voice_deadline_ms", "video_deadline_ms"):
@@ -286,7 +303,7 @@ def _build_sources(cfg: ScenarioConfig, n_ues: int):
             vp = cfg.voice_params
             rng = np.random.default_rng([cfg.seed, 1, ue])
             interval = voice_interval_for_load(per_ue[VOICE], **vp)
-            pi_talk = vp["silence_mean_ms"] / (vp["talk_mean_ms"] + vp["silence_mean_ms"])
+            pi_talk = voice_talk_share(vp["talk_mean_ms"], vp["silence_mean_ms"])
             gen.append(VoiceSource(rng, interval_ms=interval,
                                    start_talking=bool(rng.random() < pi_talk), **vp))
         if per_ue[VIDEO] > 0:
@@ -348,8 +365,12 @@ def run(cfg: ScenarioConfig) -> MetricsSummary:
                     pkts = src.step(tti)
                     if pkts:
                         buf.enqueue(pkts)
-        aged = [buf.age_and_drop(tti) for buf in buffers]
-        dropped, critical = np.array(aged, dtype=np.int64).reshape(n, 2).T
+        dropped = 0
+        critical = np.zeros(n, dtype=np.int64)
+        for ue, buf in enumerate(buffers):
+            if buf.due <= tti:
+                gone, critical[ue] = buf.age_and_drop(tti)
+                dropped += gone
         b = np.array([buf.total for buf in buffers], dtype=np.int64)
         # urgency: the bytes at their deadline (plus, for dafs, the build-up
         # above the threshold) as k_current; k adds the drop history
@@ -371,7 +392,7 @@ def run(cfg: ScenarioConfig) -> MetricsSummary:
                 sent += before - buf.total
                 if got:
                     delivered.append((ue, got))
-        collector.record_tti(tti, int(dropped.sum()), sent, delivered, decision)
+        collector.record_tti(tti, dropped, sent, delivered, decision)
     return collector.finalize(buffers)
 
 

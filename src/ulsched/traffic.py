@@ -336,7 +336,9 @@ class DataSource:
 
 class UeBuffer:
     """Three per-class FIFO queues with byte capacity, deadline enforcement
-    for the real-time classes, and drop-history tracking."""
+    for the real-time classes, and drop-history tracking. `due` is the first
+    TTI at which `age_and_drop` can report critical bytes, drop, or let a drop
+    leave the history window; a drain can only make it early, which is safe."""
 
     def __init__(self, capacity=65536, threshold=None,
                  voice_deadline=VOICE_DEADLINE_MS, video_deadline=VIDEO_DEADLINE_MS,
@@ -351,8 +353,10 @@ class UeBuffer:
         self.queues = {cls: deque() for cls in CLASSES}
         self.occupancy = {cls: 0 for cls in CLASSES}
         self.total = 0
-        self.history = deque(maxlen=history_window)
+        self.history_window = history_window
+        self.history = deque()  # (tti, bytes) of each nonzero drop in the window
         self.history_sum = 0
+        self.due = NEVER
         # lifetime byte counters for the conservation identity
         self.arrived = {cls: 0 for cls in CLASSES}
         self.transmitted = {cls: 0 for cls in CLASSES}
@@ -367,17 +371,22 @@ class UeBuffer:
             if self.total + p.size > self.capacity:
                 self.overflow_dropped[p.cls] += p.size
                 continue
-            self.queues[p.cls].append(p)
+            q = self.queues[p.cls]
+            if not q and p.cls != DATA:  # an older head already bounds `due`
+                self.due = min(self.due, p.arrival_tti + self.deadlines[p.cls])
+            q.append(p)
             self.occupancy[p.cls] += p.size
             self.total += p.size
 
     def age_and_drop(self, tti: int) -> tuple[int, int]:
-        """Remove every real-time packet past its class deadline and record
-        the TTI's drops in the history; call once per TTI, before scheduling.
+        """Remove every real-time packet past its class deadline, record the
+        TTI's drops in the history and let drops older than the window go;
+        call before scheduling at every TTI t with `due <= t`.
         In the same pass over each queue head, sum the remaining bytes of the
         packets at exactly the deadline: they cross it by the next TTI.
         Returns (dropped, critical) bytes over both real-time classes."""
         dropped = critical = 0
+        due = NEVER
         for cls, deadline in self.deadlines.items():
             q = self.queues[cls]
             gone = 0
@@ -393,10 +402,15 @@ class UeBuffer:
                 if tti - p.arrival_tti < deadline:
                     break
                 critical += p.remaining
-        if len(self.history) == self.history.maxlen:
-            self.history_sum -= self.history[0]
-        self.history.append(dropped)
-        self.history_sum += dropped
+            if q:
+                due = min(due, q[0].arrival_tti + deadline)
+        history, window = self.history, self.history_window
+        while history and history[0][0] <= tti - window:
+            self.history_sum -= history.popleft()[1]
+        if dropped:
+            history.append((tti, dropped))
+            self.history_sum += dropped
+        self.due = min(due, history[0][0] + window) if history else due
         return dropped, critical
 
     def conservation_holds(self) -> bool:
@@ -423,7 +437,10 @@ def load_arrival_trace(path, n_ues):
                 continue
             if len(parts) != 4:
                 raise TrafficError(f"{path}:{lineno}: expected `tti ue class size`")
-            tti, ue, cls, size = int(parts[0]), int(parts[1]), parts[2], int(parts[3])
+            try:
+                tti, ue, cls, size = int(parts[0]), int(parts[1]), parts[2], int(parts[3])
+            except ValueError as err:
+                raise TrafficError(f"{path}:{lineno}: {err}") from None
             if tti < 0:
                 raise TrafficError(f"{path}:{lineno}: TTI {tti} must be nonnegative")
             if cls not in CLASSES:
@@ -440,11 +457,21 @@ def load_arrival_trace(path, n_ues):
 # offered-load calibration
 # ---------------------------------------------------------------------------
 
+def voice_talk_share(talk_mean_ms, silence_mean_ms) -> float:
+    """Stationary probability of the talk state, talk/(talk + silence). A zero
+    mean is a state that is never left; with both zero the source talks."""
+    if talk_mean_ms == 0 or silence_mean_ms == 0:
+        return 0.0 if talk_mean_ms else 1.0
+    return talk_mean_ms / (talk_mean_ms + silence_mean_ms)
+
+
 def voice_interval_for_load(load_bps, packet_bytes=40, sid_bytes=15,
                             sid_interval_ms=160.0, talk_mean_ms=3000.0,
                             silence_mean_ms=3000.0) -> float:
     """Generation interval giving the target long-run voice rate."""
-    pi_talk = silence_mean_ms / (talk_mean_ms + silence_mean_ms)
+    pi_talk = voice_talk_share(talk_mean_ms, silence_mean_ms)
+    if pi_talk == 0:
+        raise TrafficError("a voice source that never talks sends only SID packets")
     sid_part = (1.0 - pi_talk) * sid_bytes * 8 * 1000.0 / sid_interval_ms
     talk_budget = load_bps - sid_part
     if talk_budget <= 0:

@@ -18,7 +18,6 @@ from ulsched.channel import (
     load_cqi_trace,
     path_loss,
     pc_estimate_db,
-    rayleigh_fading_db,
     sinr_to_cqi,
     uplink_tx_power,
 )
@@ -87,11 +86,15 @@ def _grid_sinr_within(monkeypatch, topo, cfg, ue, want_db, tol,
     want_db, so the grid reads 7 inside the bracket, 1 below and 15 above."""
     cfg = replace(cfg, fast_fading=fading_db is not None,
                   cqi_thresholds_db=(want_db - tol,) * 7 + (want_db + tol,) * 8)
-    per_ue = iter([] if fading_db is None else fading_db)
-    monkeypatch.setattr(chan, "rayleigh_fading_db", lambda rng, size: np.full(size, next(per_ue)))
-    rows = list(interference_dbm) + [-np.inf] * (6 - len(interference_dbm))
-    monkeypatch.setattr(chan, "draw_interference_dbm",
-                        lambda topo, cfg, rng: np.repeat(np.array(rows)[:, None], cfg.rc_count, 1))
+    per_ue = np.asarray([] if fading_db is None else fading_db, dtype=float)
+
+    def fixed_fading(rngs, out):
+        out[...] = per_ue[:, None, None]
+
+    monkeypatch.setattr(chan, "draw_fading_db", fixed_fading)
+    rows = np.array(list(interference_dbm) + [-np.inf] * (6 - len(interference_dbm)))
+    monkeypatch.setattr(chan, "interference_block_dbm",
+                        lambda topo, cfg, rng, draws: np.broadcast_to(rows[:, None], draws.shape[1:]))
     src = CqiSource(topo, cfg, fading_rngs=[None] * topo.n_ues, interference_rng=None)
     cqi = int(src.grid(0)[ue, 0])
     assert cqi in (1, 7, 15)
@@ -176,7 +179,8 @@ def _oracle_grid(topo, cfg, fading_rngs, interference_rng):
     ptx = uplink_tx_power(pc, cfg.prb_per_rc, cfg)
     signal = (ptx - (pc + topo.ue_shadow_db))[:, None]
     if cfg.fast_fading:
-        fading = np.stack([rayleigh_fading_db(fading_rngs[u], n_rc) for u in range(topo.n_ues)])
+        fading = np.stack([10.0 * np.log10(fading_rngs[u].exponential(1.0, size=n_rc))
+                           for u in range(topo.n_ues)])
         signal = signal + fading
     rng = interference_rng
     d_own = topo.cell_radius_m * np.sqrt(rng.uniform(0.0, 1.0, size=(6, n_rc)))
@@ -238,7 +242,7 @@ def test_cqi_trace_fixture_bypasses_model(tmp_path, monkeypatch):
     assert grids.shape == (5, 3, 1)
     src = CqiSource(topo=None, cfg=None, trace=grids)
     # the geometric pipeline must never be consulted in fixture mode
-    for name in ("rayleigh_fading_db", "draw_interference_dbm"):
+    for name in ("draw_fading_db", "interference_block_dbm"):
         monkeypatch.setattr(chan, name,
                             lambda *a, **k: (_ for _ in ()).throw(AssertionError("consulted")))
     for t in range(8):  # reads past the end stick to the last line
@@ -256,4 +260,7 @@ def test_cqi_trace_validation(tmp_path):
         load_cqi_trace(bad, n_ue=3, n_rc=1)
     bad.write_text("")
     with pytest.raises(ChannelError):
+        load_cqi_trace(bad, n_ue=3, n_rc=1)
+    bad.write_text("7 7 7\n7 7 x\n")
+    with pytest.raises(ChannelError, match=f"{bad}:2: .*'x'"):
         load_cqi_trace(bad, n_ue=3, n_rc=1)

@@ -56,6 +56,53 @@ def test_validate_rejects_source_params_with_other_keys():
     validate(replace(cfg, video_params=dict(cfg.video_params, size_max=200.0)))
 
 
+def test_validate_rejects_source_params_out_of_range():
+    # each was accepted silently or failed later with an error naming no key
+    cfg = ScenarioConfig(tti_count=30, n_ues=4)
+    for key, name, value, blamed in (
+            ("voice_params", "sid_bytes", -3, None), ("voice_params", "talk_mean_ms", -5.0, None),
+            ("voice_params", "silence_mean_ms", 0.5, None),
+            ("voice_params", "packet_bytes", 0, None),
+            ("data_params", "payload_min", 1600, "data_params.payload_max"),
+            ("data_params", "n_sources", -2, None), ("data_params", "on_shape", 1.0, None),
+            ("data_params", "cap_factor", 1.0, None),
+            ("video_params", "packets_per_frame", 0, None),
+            ("video_params", "size_max", 30.0, None), ("video_params", "ia_shape", 1.0, None)):
+        bad = replace(cfg, **{key: dict(getattr(cfg, key), **{name: value})})
+        with pytest.raises(ConfigError) as err:
+            validate(bad)
+        assert (blamed or f"{key}.{name}") in str(err.value)
+
+
+def test_zero_sojourn_mean_is_a_state_never_left():
+    # both means 0 raised ZeroDivisionError inside validate: now the source
+    # talks throughout, calibrated to the configured load
+    from ulsched.engine import _build_sources
+    voice = dict(ScenarioConfig().voice_params, talk_mean_ms=0.0, silence_mean_ms=0.0)
+    cfg = ScenarioConfig(tti_count=30, n_ues=4, loads_mbps={VOICE: 0.4}, voice_params=voice)
+    validate(cfg)
+    for (src,) in _build_sources(cfg, 4):
+        assert src.talking and src.mean_rate_bps() == pytest.approx(100_000.0, rel=1e-9)
+    assert run(cfg).tti_count == 30
+    # silence never left: the voice load cannot be met and is named
+    never_talks = replace(cfg, voice_params=dict(voice, talk_mean_ms=1000.0))
+    with pytest.raises(ConfigError, match="loads_mbps.voice"):
+        validate(never_talks)
+
+
+def test_voice_sources_start_and_run_at_the_configured_load():
+    # talk/silence means of 1000/3000 talk a quarter of the time: the start
+    # state and the generation interval both used the silence share
+    from ulsched.engine import _build_sources
+    for talk, silence, share in ((1000.0, 3000.0, 0.25), (3000.0, 1000.0, 0.75)):
+        voice = dict(ScenarioConfig().voice_params, talk_mean_ms=talk, silence_mean_ms=silence)
+        cfg = ScenarioConfig(n_ues=400, loads_mbps={VOICE: 40.0}, voice_params=voice)
+        sources = [src for (src,) in _build_sources(cfg, 400)]
+        assert all(s.mean_rate_bps() == pytest.approx(100_000.0, rel=1e-9) for s in sources)
+        talking = sum(s.talking for s in sources) / len(sources)
+        assert abs(talking - share) < 0.08
+
+
 def test_validate_rejects_bad_keys_and_values():
     from ulsched.channel import ChannelConfig
     with pytest.raises(ConfigError):
@@ -234,7 +281,8 @@ def test_arrival_trace_rejects_bad_ue_and_size(tmp_path):
     from ulsched.traffic import TrafficError
     # a negative TTI used to be dropped silently: the engine starts at TTI 0
     for bad, why in (("3 7 voice 40", "UE 7"), ("3 1 voice -40", "size -40"),
-                     ("3 -1 voice 40", "UE -1"), ("-5 0 voice 40", "TTI -5")):
+                     ("3 -1 voice 40", "UE -1"), ("-5 0 voice 40", "TTI -5"),
+                     ("x 0 voice 40", "'x'"), ("3 0 voice 4.5", "'4.5'")):
         arr = tmp_path / "arrivals.txt"
         arr.write_text(f"0 0 voice 40\n{bad}\n")
         cfg = ScenarioConfig(policy="darts", tti_count=10, n_ues=2, arrival_trace=str(arr))
@@ -445,34 +493,51 @@ def test_sweep_parallel_matches_serial():
 def test_engine_passes_critical_history_and_dafs_build_up(monkeypatch):
     # the urgency that reaches dispatch: k_current is each UE's critical
     # bytes, plus max(b - threshold, 0) for dafs only, and k adds the drop
-    # history; dham passes none
+    # history; dham passes none. The critical bytes are recounted from the
+    # queues, so a UE whose aging the engine skipped must have none
     import ulsched.engine as engine
     from ulsched.traffic import UeBuffer
-    aged = []
-    age_and_drop = UeBuffer.age_and_drop
+    buffers, calls = [], []
+    init, age_and_drop = UeBuffer.__init__, UeBuffer.age_and_drop
+
+    def spy_init(buf, *args, **kwargs):
+        init(buf, *args, **kwargs)
+        buffers.append(buf)
 
     def spy_age(buf, tti):
-        out = age_and_drop(buf, tti)
-        aged.append((out[1], buf.history_sum))
-        return out
+        calls.append(tti)
+        return age_and_drop(buf, tti)
 
+    monkeypatch.setattr(UeBuffer, "__init__", spy_init)
     monkeypatch.setattr(UeBuffer, "age_and_drop", spy_age)
     seen = []
     dispatch = engine.dispatch
 
     def spy_dispatch(policy, W, k, k_current):
-        seen.append((policy, W.b.copy(), k, k_current, aged[-W.n_ues:]))
+        tti = len(seen)
+        rows = []
+        for buf in buffers:
+            late = [tti - p.arrival_tti - d for cls, d in buf.deadlines.items()
+                    for p in buf.queues[cls]]
+            assert all(x <= 0 for x in late), "a packet past its deadline reached dispatch"
+            at_deadline = [p.remaining for cls, d in buf.deadlines.items()
+                           for p in buf.queues[cls] if tti - p.arrival_tti == d]
+            rows.append((sum(at_deadline), buf.history_sum))
+        seen.append((policy, W.b.copy(), k, k_current, rows))
         return dispatch(policy, W, k, k_current)
 
     monkeypatch.setattr(engine, "dispatch", spy_dispatch)
     threshold = 3000
     for policy in ("dham", "darts", "dafs"):
         seen.clear()
+        buffers.clear()
+        calls.clear()
         run(ScenarioConfig(policy=policy, seed=3, tti_count=120, n_ues=10,
                            buffer_capacity=8000, buffer_threshold=threshold,
                            voice_deadline_ms=5, video_deadline_ms=8, history_window=20,
                            loads_mbps={VOICE: 8.0, VIDEO: 8.0, DATA: 16.0}))
-        assert len(seen) == 120
+        assert len(seen) == 120 and len(buffers) == 10
+        assert 0 < len(calls) < 120 * 10  # aging runs only where it is due
         for _policy, b, k, k_current, rows in seen:
             critical, history = (np.array(x, dtype=np.int64) for x in zip(*rows))
             if policy == "dham":

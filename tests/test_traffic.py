@@ -22,7 +22,7 @@ from ulsched.traffic import (
     voice_interval_for_load,
     video_fps_for_load,
 )
-from ulsched.ue_tx import strict_priority_drain
+from ulsched.ue_tx import flip_drain, strict_priority_drain
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +93,18 @@ def test_voice_interval_for_load_roundtrip():
     interval = voice_interval_for_load(200_000.0)
     src = VoiceSource(np.random.default_rng(0), interval_ms=interval)
     assert src.mean_rate_bps() == pytest.approx(200_000.0, rel=1e-9)
+
+
+def test_voice_interval_for_load_at_unequal_means():
+    # at 1000/3000 the source talks a quarter of the time; calibrating with
+    # the silence share gave a stationary 33.8 kbps for 100 kbps
+    for talk, silence in ((1000.0, 3000.0), (3000.0, 1000.0), (0.0, 40.0)):
+        interval = voice_interval_for_load(100_000.0, talk_mean_ms=talk, silence_mean_ms=silence)
+        src = VoiceSource(np.random.default_rng(0), interval_ms=interval,
+                          talk_mean_ms=talk, silence_mean_ms=silence)
+        assert src.mean_rate_bps() == pytest.approx(100_000.0, rel=1e-9)
+    with pytest.raises(TrafficError):  # silence is never left: only SIDs
+        voice_interval_for_load(100_000.0, talk_mean_ms=40.0, silence_mean_ms=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +346,9 @@ def test_age_and_drop_at_the_deadline_keeps_the_bytes():
 
 
 def test_history_window_accumulation():
-    # never scheduled: history_sum is exactly the last n per-TTI drops, and
-    # the critical bytes are the packet at its deadline
+    # never scheduled: history_sum is exactly the last n per-TTI drops, the
+    # history holds the nonzero ones as (tti, bytes), and the critical bytes
+    # are the packet at its deadline
     buf = UeBuffer(history_window=5)
     drops = []
     for tti in range(60):
@@ -345,7 +358,43 @@ def test_history_window_accumulation():
         assert dropped == (10 if tti > 50 else 0)
         assert critical == (10 if tti >= 50 else 0)
         assert buf.history_sum == sum(drops[-5:])
-        assert list(buf.history) == drops[-5:]
+        assert list(buf.history) == [(t, d) for t, d in enumerate(drops) if d and t > tti - 5]
+
+
+def _buffer_state(buf):
+    queues = {cls: [(p.size, p.arrival_tti, p.remaining) for p in q]
+              for cls, q in buf.queues.items()}
+    counters = (buf.arrived, buf.transmitted, buf.deadline_dropped, buf.overflow_dropped,
+                buf.deadline_dropped_pkts, buf.occupancy)
+    return queues, [dict(c) for c in counters], buf.total, list(buf.history), buf.history_sum
+
+
+_tti_ops = st.tuples(
+    st.lists(st.tuples(st.sampled_from([VOICE, VIDEO, DATA]), st.integers(1, 400)), max_size=3),
+    st.sampled_from([None, strict_priority_drain, flip_drain]),
+    st.integers(0, 900))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(_tti_ops, min_size=1, max_size=150), voice_deadline=st.integers(1, 12),
+       video_deadline=st.integers(1, 20), window=st.integers(1, 15),
+       capacity=st.integers(200, 3000))
+def test_aging_only_at_due_ttis_changes_nothing(ops, voice_deadline, video_deadline, window,
+                                                capacity):
+    # one buffer aged every TTI, one only at TTIs >= due: the same drops,
+    # critical bytes, history, counters and queues, TTI by TTI
+    every, gated = (UeBuffer(capacity=capacity, voice_deadline=voice_deadline,
+                             video_deadline=video_deadline, history_window=window)
+                    for _ in range(2))
+    for tti, (arrivals, drain, grant) in enumerate(ops):
+        for buf in (every, gated):
+            buf.enqueue([make_packet(cls, size, tti) for cls, size in arrivals])
+        want = every.age_and_drop(tti)
+        got = gated.age_and_drop(tti) if gated.due <= tti else (0, 0)
+        assert got == want, f"TTI {tti}"
+        assert _buffer_state(gated) == _buffer_state(every), f"TTI {tti}"
+        if drain is not None:
+            assert drain(gated, grant, tti) == drain(every, grant, tti)
 
 
 def test_conservation_identity_random_traffic():

@@ -8,7 +8,9 @@ penalty = 0, darts passes the imminent-drop bytes k, and the surplus rounds
 users that would square them entering through their implied duals. It is
 built on Jonker-Volgenant shortest augmenting paths (1987) and one tie
 rule: among optimal solutions the lexicographically smallest column vector
-wins, an unmatched row ordering last. Inputs must be integers; anything
+wins, an unmatched row ordering last. With more rows than columns only the
+candidate rows are solved, those reaching some column's m-th best folded
+reward; no optimum matches any other row. Inputs must be integers; anything
 else raises AssignmentError instead of being truncated.
 
 pad_with_zero_dummies and replicate_penalty_dummies build the literal square
@@ -211,6 +213,21 @@ def solve(rewards, penalty=None):
     problem is solved directly. Otherwise only the n real rows are solved;
     the m - n zero-reward dummy rows of the square problem get dual 0 and
     sit on the columns the real rows leave free.
+
+    The first case solves only the candidate rows: those whose folded reward
+    reaches the m-th best of at least one column, ties included (at least m
+    rows, kept in their order); every other row is unmatched. This changes
+    no result, for three reasons:
+    - a row below the m-th best of column c holds c in no optimum: of the m
+      rows strictly better on c at least one is free, and a swap would gain;
+    - _jv_min's matching after each column is optimal for the columns so
+      far, so it never reaches a dropped row (each stays free with v = 0,
+      never the first minimum of a scan), and u, v and the matching are
+      the same with or without those rows;
+    - every state _lexi_cascade accepts is an optimum, so it never places a
+      dropped row, and no dropped row is what entry_row returns.
+    A canonicalizer whose output depends only on the set of optima keeps
+    the reduction exact as well.
     """
     r = np.asarray(rewards)
     if r.ndim != 2:
@@ -224,10 +241,17 @@ def solve(rewards, penalty=None):
         return [-1] * n, -int(k.sum())
     if n > m:
         folded = r + k[:, None]
-        cost = (folded.max(axis=0, keepdims=True) - folded).T  # (m, n): columns take rows
-        row_of_col, u, v = _jv_min(cost.tolist(), m, n)
+        # only rows reaching some column's m-th best can be matched in an optimum
+        mth = np.partition(folded, n - m, axis=0)[n - m]
+        keep = np.flatnonzero((folded >= mth).any(axis=1))
+        folded = folded[keep]
+        cost = (folded.max(axis=0, keepdims=True) - folded).T  # (m, n'): columns take rows
+        row_of_col, u, v = _jv_min(cost.tolist(), m, len(keep))
         tight = (cost - np.array(u)[:, None] - np.array(v) == 0).tolist()
-        cols = _lexi_cascade(tight, [x == 0 for x in v], row_of_col, n)
+        kept = _lexi_cascade(tight, [x == 0 for x in v], row_of_col, len(keep))
+        cols = [-1] * n
+        for i, c in zip(keep.tolist(), kept):
+            cols[i] = c
     else:
         cost = r.max(axis=1, keepdims=True) - r
         col_of, u, v = _jv_min(cost.tolist(), n, m)

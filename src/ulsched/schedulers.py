@@ -77,7 +77,11 @@ def compute_drop_matrix(k_current, W: TrafficMatrixW) -> np.ndarray:
     k = np.asarray(k_current, dtype=np.int64)
     if k.shape != (W.n_ues,):
         raise SchedulerError(f"need one k per UE, got {k.shape}")
-    return np.maximum(0, k[:, None] - W.w)
+    return _drops(k, W.w)
+
+
+def _drops(k_current, w):
+    return np.maximum(0, k_current[:, None] - w)
 
 
 def _k_vector(k, n_ues):
@@ -94,16 +98,17 @@ def _k_vector(k, n_ues):
 # policies
 # ---------------------------------------------------------------------------
 
-def _assign(W: TrafficMatrixW, rows, k, d) -> SchedulerDecision:
-    """Give each UE in `rows` at most one RC, maximizing the sum of w - d
-    over the pairs minus k for each row left out (k and d hold one entry
-    per row). The decision is in full UE indexing; other UEs get nothing."""
+def _assign(W: TrafficMatrixW, rows, rewards, k) -> SchedulerDecision:
+    """Give each UE in the index array `rows` at most one RC, maximizing the
+    sum of the rewards w - d over the pairs minus k for each row left out
+    (rewards and k hold one entry per row). The decision is in full UE
+    indexing; other UEs get nothing."""
     n, m = W.n_ues, W.n_rcs
-    cols, obj = solve(W.w[rows] - d, k)
+    cols, obj = solve(rewards, k)
     rc_to_ue = [None] * m
     ue_rcs = [()] * n
     grants = np.zeros(n, dtype=np.int64)
-    for ue, c in zip(rows, cols):
+    for ue, c in zip(rows.tolist(), cols):
         if c >= 0:
             rc_to_ue[c] = ue
             ue_rcs[ue] = (c,)
@@ -127,7 +132,7 @@ def schedule_darts(W: TrafficMatrixW, k, d=None) -> SchedulerDecision:
         d = np.asarray(d, dtype=np.int64)
         if d.shape != W.w.shape:
             raise SchedulerError(f"drop matrix shape {d.shape} != {W.w.shape}")
-    return _assign(W, range(W.n_ues), k, d)
+    return _assign(W, np.arange(W.n_ues), W.w - d, k)
 
 
 def schedule_iterative_surplus(W: TrafficMatrixW, k=None) -> SchedulerDecision:
@@ -193,7 +198,8 @@ def dispatch(policy: str, W: TrafficMatrixW, k=None, k_current=None) -> Schedule
         k = k_current = None
     k = _k_vector(k, n)
     k_current = k if k_current is None else _k_vector(k_current, n)
-    active = [i for i in range(n) if W.b[i] > 0]
+    active = np.flatnonzero(W.b > 0)
     if len(active) < W.n_rcs:
         return schedule_iterative_surplus(W, k)
-    return _assign(W, active, k[active], compute_drop_matrix(k_current, W)[active])
+    w = W.w[active]
+    return _assign(W, active, w - _drops(k_current[active], w), k[active])

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from ulsched import assignment
 from ulsched.assignment import (
     AssignmentError,
     _jv_min,
+    _lexi_cascade,
     brute_force_assignment,
     pad_with_zero_dummies,
     replicate_penalty_dummies,
@@ -278,3 +281,123 @@ def test_penalty_tie_rule_when_the_entry_needs_a_chain():
     want_cols, want_obj = brute_force_assignment(replicate_penalty_dummies(r, k))
     cols = [c if c < 3 else -1 for c in want_cols]   # [0, 3, 1, 2]: row 1 unmatched
     assert solve(r, k) == (cols, want_obj)
+
+
+# ---------------------------------------------------------------------------
+# candidate-row reduction of the penalty regime
+# ---------------------------------------------------------------------------
+
+def _unpruned_penalty_solve(rewards, penalty):
+    """solve's penalty path (n > m) over every row, without the candidate-row
+    reduction: _jv_min, the tight matrix and _lexi_cascade on all n rows."""
+    r, k = np.asarray(rewards, np.int64), np.asarray(penalty, np.int64)
+    n, m = r.shape
+    folded = r + k[:, None]
+    cost = (folded.max(axis=0, keepdims=True) - folded).T
+    row_of_col, u, v = _jv_min(cost.tolist(), m, n)
+    tight = (cost - np.array(u)[:, None] - np.array(v) == 0).tolist()
+    cols = _lexi_cascade(tight, [x == 0 for x in v], row_of_col, n)
+    idx = np.array(cols)
+    hit = idx >= 0
+    return cols, int(r[hit, idx[hit]].sum() - k[~hit].sum())
+
+
+def _tie_heavy_penalty_case(rng, m, n, flat):
+    """Levels 0-3 with k in 0..3, or flat rows w = min(p, b) with rewards
+    w - max(0, k - w) and k in bytes, as darts builds them."""
+    if not flat:
+        return rng.integers(0, 4, size=(n, m)), rng.integers(0, 4, size=n)
+    p = rng.choice([252, 504, 756], size=(n, m))
+    w = np.minimum(p, rng.integers(1, 1000, size=n)[:, None])
+    k = rng.integers(0, 757, size=n) * (rng.random(n) < 0.5)
+    return w - np.maximum(0, k[:, None] - w), k
+
+
+# (rewards, penalty) where the penalty path breaks the tie rule against
+# _lexi_oracle and the reduction drops a row (5 -> 4, 7 -> 6)
+_CASCADE_BUG_PINS = [
+    ([[0, 0, 0], [3, 2, 2], [2, 3, 3], [0, 1, 2], [0, 0, 0]], [3, 0, 0, 1, 1]),
+    ([[0, 0, 1], [1, 0, 3], [0, 2, 1], [1, 0, 0], [0, 1, 2], [2, 3, 1], [0, 2, 3]],
+     [1, 3, 0, 1, 0, 0, 2]),
+]
+
+
+@pytest.mark.parametrize("rewards, penalty", _CASCADE_BUG_PINS)
+def test_reduction_keeps_the_penalty_path_where_it_breaks_the_tie_rule(rewards, penalty):
+    r, k = np.array(rewards), np.array(penalty)
+    want = _unpruned_penalty_solve(r, k)
+    assert want != _lexi_oracle(r, k)   # the known cascade bug, unchanged
+    assert solve(r, k) == want
+
+
+def test_reduction_matches_the_unpruned_penalty_path_seeded():
+    rng = np.random.default_rng(1212)
+    for trial in range(800):
+        m = int(rng.integers(1, 9))
+        n = int(rng.integers(m + 1, m + 12))
+        r, k = _tie_heavy_penalty_case(rng, m, n, flat=trial % 2 == 1)
+        assert solve(r, k) == _unpruned_penalty_solve(r, k), trial
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 8), extra=st.integers(1, 20),
+       flat=st.booleans())
+def test_reduction_matches_the_unpruned_penalty_path(seed, m, extra, flat):
+    r, k = _tie_heavy_penalty_case(np.random.default_rng(seed), m, m + extra, flat)
+    assert solve(r, k) == _unpruned_penalty_solve(r, k)
+
+
+def test_rows_below_every_mth_best_change_nothing_else():
+    # rows strictly below each column's m-th best folded reward leave that
+    # m-th best in place, stay unmatched and only pay their k
+    rng = np.random.default_rng(3131)
+    for trial in range(300):
+        m = int(rng.integers(1, 7))
+        n = int(rng.integers(m + 1, m + 8))
+        r, k = _tie_heavy_penalty_case(rng, m, n, flat=trial % 2 == 1)
+        cols, obj = solve(r, k)
+        mth = np.partition(r + k[:, None], n - m, axis=0)[n - m]
+        extra = int(rng.integers(1, 6))
+        k_in = rng.integers(0, 4, size=extra)
+        r_in = mth - k_in[:, None] - rng.integers(1, 4, size=(extra, m))
+        at = np.sort(rng.integers(0, n + 1, size=extra)) + np.arange(extra)
+        inserted = np.zeros(n + extra, bool)
+        inserted[at] = True
+        r2 = np.empty((n + extra, m), np.int64)
+        k2 = np.empty(n + extra, np.int64)
+        r2[inserted], k2[inserted] = r_in, k_in
+        r2[~inserted], k2[~inserted] = r, k
+        cols2, obj2 = solve(r2, k2)
+        assert [c for c, new in zip(cols2, inserted) if new] == [-1] * extra, trial
+        assert [c for c, new in zip(cols2, inserted) if not new] == cols, trial
+        assert obj2 == obj - int(k_in.sum()), trial
+
+
+def _solved_row_counts(monkeypatch):
+    seen = []
+    jv = assignment._jv_min
+
+    def counting(cost_rows, n_rows, n_cols):
+        seen.append(n_cols)
+        return jv(cost_rows, n_rows, n_cols)
+
+    monkeypatch.setattr(assignment, "_jv_min", counting)
+    return seen
+
+
+def test_reduction_keeps_ties_at_the_mth_best(monkeypatch):
+    seen = _solved_row_counts(monkeypatch)
+    # the 2nd best of both columns is 1, held by rows 2 and 3 alike
+    r = np.array([[0, 0], [5, 5], [1, 1], [1, 1], [0, 0]])
+    assert solve(r, [0] * 5) == ([-1, 0, 1, -1, -1], 6)
+    assert solve(r, [0] * 5) == _lexi_oracle(r, np.zeros(5, np.int64))
+    assert seen[-1] == 3
+
+
+def test_reduction_down_to_exactly_m_rows(monkeypatch):
+    seen = _solved_row_counts(monkeypatch)
+    r = np.array([[9, 8], [8, 9], [1, 1], [0, 0]])
+    k = np.array([0, 0, 3, 1])
+    assert solve(r, k) == ([0, 1, -1, -1], 14)
+    assert solve(r, k) == _lexi_oracle(r, k)
+    assert seen[-1] == 2

@@ -10,8 +10,20 @@ built on Jonker-Volgenant shortest augmenting paths (1987) and one tie
 rule: among optimal solutions the lexicographically smallest column vector
 wins, an unmatched row ordering last. With more rows than columns only the
 candidate rows are solved, those reaching some column's m-th best folded
-reward; no optimum matches any other row. Inputs must be integers; anything
-else raises AssignmentError instead of being truncated.
+reward; no optimum matches any other row. With at most as many rows as
+columns a row-max greedy runs first (rows in order, each on its lowest free
+column holding its maximum). When every row finds one, that matching is the
+tie-rule answer, exactly:
+- its value is the sum of the row maxima, an upper bound, so it is optimal;
+- so every optimum gives each row one of its row-max columns;
+- each step takes the smallest such column the earlier rows left, and the
+  greedy completes, so it is the lexicographically smallest optimum;
+- the zero-reward dummy rows order after the real rows and cannot change
+  the real rows' part.
+The argument uses no dual, so the answer is exact whatever the cascade does;
+Jonker-Volgenant and the cascade run only when some row finds no free
+row-max column. Inputs must be integers; anything else raises
+AssignmentError instead of being truncated.
 
 pad_with_zero_dummies and replicate_penalty_dummies build the literal square
 problems the core is equivalent to, and brute_force_assignment solves them
@@ -199,6 +211,23 @@ def _lexi_cascade(tight, may_exit, row_of_col, rows):
     return col_of_row
 
 
+def _row_max_greedy(r):
+    """Rows in order each take their lowest-indexed free column holding the
+    row's maximum. Returns (col_of_row, sum of the row maxima), or None as
+    soon as a row finds no such column (see solve)."""
+    tops = r.max(axis=1).tolist()
+    cols = []
+    for row, top in zip(r.tolist(), tops):
+        j = row.index(top)
+        try:
+            while j in cols:
+                j = row.index(top, j + 1)
+        except ValueError:
+            return None
+        cols.append(j)
+    return cols, sum(tops)
+
+
 def solve(rewards, penalty=None):
     """Maximize the matched rewards minus penalty[i] for every unmatched row,
     matching exactly min(n, m) (row, column) pairs of the integer n x m
@@ -210,9 +239,21 @@ def solve(rewards, penalty=None):
     a square solve give. With more rows than columns the penalty folds into
     the rewards: a square problem whose n - m dummy columns all hold -k_i
     equals rewards + k with every column matched, so the transposed m x n
-    problem is solved directly. Otherwise only the n real rows are solved;
-    the m - n zero-reward dummy rows of the square problem get dual 0 and
-    sit on the columns the real rows leave free.
+    problem is solved directly. Otherwise the row-max greedy is tried
+    first; its complete result is exact, for four reasons:
+    - its value is the sum of the row maxima, an upper bound on any
+      matching, so it is optimal;
+    - every optimum must then give each row one of its row-max columns;
+    - each greedy step takes the smallest such column left by the earlier
+      rows, and the greedy completes, so its result is the
+      lexicographically smallest optimum;
+    - the zero-reward dummy rows order after the real rows, so they cannot
+      change the real rows' part.
+    None of this depends on the duals, so the result does not depend on
+    what _lexi_cascade would do. When a row finds no free row-max column,
+    only the n real rows are solved by _jv_min; the m - n zero-reward
+    dummy rows of the square problem get dual 0 and sit on the columns the
+    real rows leave free.
 
     The first case solves only the candidate rows: those whose folded reward
     reaches the m-th best of at least one column, ties included (at least m
@@ -239,6 +280,8 @@ def solve(rewards, penalty=None):
         raise AssignmentError(f"penalty vector must have length {n}, got shape {k.shape}")
     if n == 0 or m == 0:
         return [-1] * n, -int(k.sum())
+    if n <= m and (certified := _row_max_greedy(r)) is not None:
+        return certified
     if n > m:
         folded = r + k[:, None]
         # only rows reaching some column's m-th best can be matched in an optimum

@@ -145,26 +145,26 @@ def schedule_iterative_surplus(W: TrafficMatrixW, k=None) -> SchedulerDecision:
     users that would square it only enter solve through their implied duals.
     """
     n, m = W.n_ues, W.n_rcs
-    k = _k_vector(k, n).copy()
-    b = W.b.copy()
+    k = _k_vector(k, n).tolist()
+    b = W.b.tolist()
     remaining = list(range(m))
-    grants = np.zeros(n, dtype=np.int64)
+    grants = [0] * n
     ue_rcs = [[] for _ in range(n)]
     rc_to_ue = [None] * m
     while remaining:
-        active = [i for i in range(n) if b[i] > 0]
-        if not active:
+        b_now = np.array(b, dtype=np.int64)
+        active = np.flatnonzero(b_now > 0)
+        if not len(active):
             break
-        w_round = np.minimum(W.p[np.ix_(active, remaining)], b[active, None])
-        cols, _obj = solve(w_round, k[active])
-        taken = []
-        for local, ue in enumerate(active):
-            c = cols[local]
-            got = int(w_round[local, c]) if c >= 0 else 0
+        w_round = np.minimum(W.p[np.ix_(active, remaining)], b_now[active, None])
+        cols, _obj = solve(w_round, [k[ue] for ue in active.tolist()])
+        taken = set()
+        for ue, c, row in zip(active.tolist(), cols, w_round.tolist()):
+            got = row[c] if c >= 0 else 0
             if got <= 0:
                 continue
             rc = remaining[c]
-            taken.append(rc)
+            taken.add(rc)
             rc_to_ue[rc] = ue
             ue_rcs[ue].append(rc)
             grants[ue] += got
@@ -173,11 +173,12 @@ def schedule_iterative_surplus(W: TrafficMatrixW, k=None) -> SchedulerDecision:
         if not taken:
             break
         remaining = [rc for rc in remaining if rc not in taken]
-    unscheduled = [i for i in range(n) if not ue_rcs[i] and W.b[i] > 0]
+    # a UE granted nothing still holds its starting buffer
+    unscheduled_k = sum(k[i] for i in range(n) if b[i] > 0 and not ue_rcs[i])
     return SchedulerDecision(rc_to_ue=tuple(rc_to_ue),
                              ue_rcs=tuple(tuple(x) for x in ue_rcs),
-                             grants=grants,
-                             objective=int(grants.sum() - k[unscheduled].sum()))
+                             grants=np.array(grants, dtype=np.int64),
+                             objective=int(sum(grants) - unscheduled_k))
 
 
 POLICIES = ("dham", "darts", "dafs")

@@ -401,3 +401,80 @@ def test_reduction_down_to_exactly_m_rows(monkeypatch):
     assert solve(r, k) == ([0, 1, -1, -1], 14)
     assert solve(r, k) == _lexi_oracle(r, k)
     assert seen[-1] == 2
+
+
+# ---------------------------------------------------------------------------
+# row-max greedy of the surplus regime
+# ---------------------------------------------------------------------------
+
+def _jv_surplus_solve(rewards, penalty):
+    """solve's surplus path (n <= m) without the row-max greedy: _jv_min on
+    the real rows, the dummy rows tight where v = 0, and _lexi_cascade."""
+    r, k = np.asarray(rewards, np.int64), np.asarray(penalty, np.int64)
+    n, m = r.shape
+    cost = r.max(axis=1, keepdims=True) - r
+    col_of, u, v = _jv_min(cost.tolist(), n, m)
+    row_of_col = [-1] * m
+    for i, c in enumerate(col_of):
+        row_of_col[c] = i
+    dummies = iter(range(n, m))
+    row_of_col = [i if i >= 0 else next(dummies) for i in row_of_col]
+    v = np.array(v)
+    tight = np.empty((m, m), bool)
+    tight[:, :n] = (cost - np.array(u)[:, None] - v == 0).T
+    tight[:, n:] = (v == 0)[:, None]
+    cols = _lexi_cascade(tight.tolist(), [False] * m, row_of_col, n)[:n]
+    idx = np.array(cols)
+    hit = idx >= 0
+    return cols, int(r[hit, idx[hit]].sum() - k[~hit].sum())
+
+
+def _tie_heavy_surplus_case(rng, n, m, kind):
+    """Levels 0-1 or 0-3, signed -3..3, or flat rows w = min(p, b) as the
+    surplus rounds build them; k in 0..3 (it is moot when every row is matched)."""
+    if kind == 3:
+        p = rng.choice([252, 504, 756], size=(n, m))
+        r = np.minimum(p, rng.integers(1, 1000, size=n)[:, None])
+    else:
+        low, high = ((0, 2), (0, 4), (-3, 4))[kind]
+        r = rng.integers(low, high, size=(n, m))
+    return r, rng.integers(0, 4, size=n)
+
+
+def _check_surplus_case(r, k):
+    got = solve(r, k)
+    assert got == _jv_surplus_solve(r, k)
+    if r.shape[1] <= 8:
+        assert got == _lexi_oracle(r, k)
+
+
+def test_row_max_greedy_matches_the_jv_surplus_path_seeded():
+    rng = np.random.default_rng(1313)
+    for trial in range(1200):
+        n = int(rng.integers(1, 9))
+        m = int(rng.integers(n, 17))
+        r, k = _tie_heavy_surplus_case(rng, n, m, trial % 4)
+        try:
+            _check_surplus_case(r, k)
+        except AssertionError:
+            raise AssertionError(f"trial {trial}: {r.tolist()}") from None
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8), extra=st.integers(0, 8),
+       kind=st.integers(0, 3))
+def test_row_max_greedy_matches_the_jv_surplus_path(seed, n, extra, kind):
+    _check_surplus_case(*_tie_heavy_surplus_case(np.random.default_rng(seed), n, n + extra, kind))
+
+
+def test_flat_rows_never_reach_jv(monkeypatch):
+    seen = _solved_row_counts(monkeypatch)
+    assert solve(np.full((3, 8), 7)) == ([0, 1, 2], 21)
+    assert seen == []
+
+
+def test_a_greedy_conflict_still_runs_jv(monkeypatch):
+    seen = _solved_row_counts(monkeypatch)
+    # row 0 takes column 0, the only maximum of row 1
+    assert solve([[5, 5], [5, 0]]) == ([1, 0], 10)
+    assert len(seen) == 1

@@ -257,6 +257,67 @@ def test_surplus_grants_never_exceed_buffer():
         assert len(set(used)) == len(used)  # RC exclusivity
 
 
+def _surplus_numpy_loop(W, k):
+    """The surplus rounds as written with numpy bookkeeping (int64 arrays
+    for b, k and the grants, numpy reads per element), kept as the reference
+    for the Python-int loop. Also returns each round's (active UEs, RCs left)."""
+    n, m = W.n_ues, W.n_rcs
+    k = np.asarray(k, dtype=np.int64).copy()
+    b = W.b.copy()
+    remaining = list(range(m))
+    grants = np.zeros(n, dtype=np.int64)
+    ue_rcs = [[] for _ in range(n)]
+    rc_to_ue = [None] * m
+    shapes = []
+    while remaining:
+        active = [i for i in range(n) if b[i] > 0]
+        if not active:
+            break
+        shapes.append((len(active), len(remaining)))
+        w_round = np.minimum(W.p[np.ix_(active, remaining)], b[active, None])
+        cols, _obj = solve(w_round, k[active])
+        taken = []
+        for local, ue in enumerate(active):
+            c = cols[local]
+            got = int(w_round[local, c]) if c >= 0 else 0
+            if got <= 0:
+                continue
+            rc = remaining[c]
+            taken.append(rc)
+            rc_to_ue[rc] = ue
+            ue_rcs[ue].append(rc)
+            grants[ue] += got
+            b[ue] -= got
+            k[ue] = max(0, k[ue] - got)
+        if not taken:
+            break
+        remaining = [rc for rc in remaining if rc not in taken]
+    unscheduled = [i for i in range(n) if not ue_rcs[i] and W.b[i] > 0]
+    dec = (tuple(rc_to_ue), tuple(tuple(x) for x in ue_rcs), grants,
+           int(grants.sum() - k[unscheduled].sum()))
+    return dec, shapes
+
+
+def test_surplus_rounds_equal_the_numpy_loop():
+    rng = np.random.default_rng(1313)
+    later_penalty_rounds = 0
+    for trial in range(400):
+        m = int(rng.integers(2, 17))
+        n = int(rng.integers(1, m))
+        b = rng.integers(1, 2500, size=n) * (rng.random(n) < 0.85)
+        p = rng.choice([0, 252, 504, 756], size=(n, m), p=[0.1, 0.3, 0.3, 0.3])
+        k = rng.integers(0, 800, size=n) * (rng.random(n) < 0.5)
+        W = TrafficMatrixW(w=np.minimum(p, b[:, None]), p=p, b=b)
+        dec = schedule_iterative_surplus(W, k)
+        (rc_to_ue, ue_rcs, grants, objective), shapes = _surplus_numpy_loop(W, k)
+        assert dec.rc_to_ue == rc_to_ue, trial
+        assert dec.ue_rcs == ue_rcs, trial
+        assert dec.grants.dtype == np.int64 and np.array_equal(dec.grants, grants), trial
+        assert type(dec.objective) is int and dec.objective == objective, trial
+        later_penalty_rounds += any(a > r for a, r in shapes[1:])
+    assert later_penalty_rounds >= 20   # later rounds with more users than RCs left
+
+
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------

@@ -8,22 +8,14 @@ penalty = 0, darts passes the imminent-drop bytes k, and the surplus rounds
 users that would square them entering through their implied duals. It is
 built on Jonker-Volgenant shortest augmenting paths (1987) and one tie
 rule: among optimal solutions the lexicographically smallest column vector
-wins, an unmatched row ordering last. With more rows than columns only the
-candidate rows are solved, those reaching some column's m-th best folded
-reward; no optimum matches any other row. With at most as many rows as
-columns a row-max greedy runs first (rows in order, each on its lowest free
-column holding its maximum). When every row finds one, that matching is the
-tie-rule answer, exactly:
-- its value is the sum of the row maxima, an upper bound, so it is optimal;
-- so every optimum gives each row one of its row-max columns;
-- each step takes the smallest such column the earlier rows left, and the
-  greedy completes, so it is the lexicographically smallest optimum;
-- the zero-reward dummy rows order after the real rows and cannot change
-  the real rows' part.
-The argument uses no dual, so the answer is exact whatever the cascade does;
-Jonker-Volgenant and the cascade run only when some row finds no free
-row-max column. Inputs must be integers; anything else raises
-AssignmentError instead of being truncated.
+wins, an unmatched row ordering last, which an alternating-path search
+over the optimum's tight cells (_lexi_cascade) enforces. With more rows
+than columns only the candidate rows are solved, those reaching some
+column's m-th best folded reward; no optimum matches any other row. With
+at most as many rows as columns a row-max greedy runs first, and when it
+completes its matching is the tie-rule answer without any dual (see
+solve). Inputs must be integers; anything else raises AssignmentError
+instead of being truncated.
 
 pad_with_zero_dummies and replicate_penalty_dummies build the literal square
 problems the core is equivalent to, and brute_force_assignment solves them
@@ -129,85 +121,62 @@ def _lexi_cascade(tight, may_exit, row_of_col, rows):
     complementary slackness the optimal solutions are exactly the
     column-perfect matchings over tight cells that keep every other row
     matched, so reshaping one only resolves ties. row_of_col is such a
-    matching (every column held). Rows 0..rows-1 in turn take the
-    lowest-indexed column some optimum still allows, else none; later rows
-    are left as they fall. Returns col_of_row with -1 for unmatched rows.
+    matching (every column held). The unmatched rows share one exit slot,
+    -1, which orders after every column. Rows 0..rows-1 in turn try each
+    unlocked tight column below their slot, in index order, and take the
+    first one whose holder an alternating path re-homes (home); the row's
+    slot is then locked, and later rows are left as they fall. Returns
+    col_of_row with -1 for unmatched rows.
     """
     m, n = len(tight), len(may_exit)
     col_of_row = [-1] * n
     for c, i in enumerate(row_of_col):
         col_of_row[i] = c
-    locked_rows = [False] * n
-    locked_cols = 0
-    all_cols = (1 << m) - 1
+    locked = [False] * (m + 1)   # index -1 is the exit slot, never locked
 
-    def entry_row(col):
-        # lowest unlocked, unmatched row that can legally take `col`
-        trow = tight[col]
-        for e in range(n):
-            if not locked_rows[e] and col_of_row[e] == -1 and trow[e]:
-                return e
-        return -1
-
-    def place(d, visited, vacated, vac_filled):
-        """Row d lost its column; re-home it along tight cells. One row may
-        leave the matching (may_exit), pairing with an entry that refills
-        the vacated column. Mutates the matching only on success."""
-        if vacated is not None and not vac_filled[0] and tight[vacated][d]:
-            row_of_col[vacated] = d
-            col_of_row[d] = vacated
-            vac_filled[0] = True
+    def home(h, old):
+        """Re-seat displaced row h so that slot `old` is held again; record the moves."""
+        if old >= 0 and tight[old][h]:
+            moves.append((h, old))
             return True
-        for c2 in range(m):
-            bit = 1 << c2
-            if visited[0] & bit or not tight[c2][d]:
-                continue
-            visited[0] |= bit
-            holder = row_of_col[c2]
-            if place(holder, visited, vacated, vac_filled):
-                row_of_col[c2] = d
-                col_of_row[d] = c2
+        for c in range(m):
+            if not seen[c] and tight[c][h]:
+                seen[c] = True
+                if home(row_of_col[c], old):
+                    moves.append((h, c))
+                    return True
+        if may_exit[h] and not seen[-1]:
+            seen[-1] = True
+            if old < 0:
+                moves.append((h, -1))
                 return True
-        if may_exit[d]:
-            if vacated is None or vac_filled[0]:
-                col_of_row[d] = -1
-                return True
-            e = entry_row(vacated)
-            if e >= 0:
-                row_of_col[vacated] = e
-                col_of_row[e] = vacated
-                vac_filled[0] = True
-                col_of_row[d] = -1
-                return True
+            # ROADMAP item 1: the refill takes only a row tight on `old` and
+            # follows no chain; the fix replaces tight[old][x] with home(x, old).
+            for x in range(i + 1, n):
+                if col_of_row[x] < 0 and tight[old][x]:
+                    moves.extend(((x, old), (h, -1)))
+                    return True
         return False
 
     for i in range(rows):
-        if locked_cols == all_cols:
-            break
         cur = col_of_row[i]
-        stop = cur if cur >= 0 else m
-        for c in range(stop):
-            if (locked_cols >> c) & 1 or not tight[c][i]:
+        for c in range(cur if cur >= 0 else m):
+            if locked[c] or not tight[c][i]:
                 continue
-            displaced = row_of_col[c]
+            seen = locked.copy()
+            seen[c] = True
             if cur >= 0:
-                row_of_col[cur] = -1
-            row_of_col[c] = i
-            col_of_row[i] = c
-            visited = [locked_cols | (1 << c)]
-            vac_filled = [cur < 0]
-            if place(displaced, visited, cur if cur >= 0 else None, vac_filled):
+                seen[cur] = True
+            moves = [(i, c)]
+            if home(row_of_col[c], cur):
+                for r, s in moves:
+                    col_of_row[r] = s
+                    if s >= 0:
+                        row_of_col[s] = r
                 cur = c
                 break
-            # revert the tentative move
-            row_of_col[c] = displaced
-            col_of_row[displaced] = c
-            col_of_row[i] = cur
-            if cur >= 0:
-                row_of_col[cur] = i
-        locked_rows[i] = True
         if cur >= 0:
-            locked_cols |= 1 << cur
+            locked[cur] = True
     return col_of_row
 
 
@@ -249,8 +218,8 @@ def solve(rewards, penalty=None):
       lexicographically smallest optimum;
     - the zero-reward dummy rows order after the real rows, so they cannot
       change the real rows' part.
-    None of this depends on the duals, so the result does not depend on
-    what _lexi_cascade would do. When a row finds no free row-max column,
+    The argument uses no dual, so its answer does not rest on the search
+    in _lexi_cascade. When a row finds no free row-max column,
     only the n real rows are solved by _jv_min; the m - n zero-reward
     dummy rows of the square problem get dual 0 and sit on the columns the
     real rows leave free.
@@ -265,8 +234,9 @@ def solve(rewards, penalty=None):
       far, so it never reaches a dropped row (each stays free with v = 0,
       never the first minimum of a scan), and u, v and the matching are
       the same with or without those rows;
-    - every state _lexi_cascade accepts is an optimum, so it never places a
-      dropped row, and no dropped row is what entry_row returns.
+    - _lexi_cascade moves rows only along tight cells, letting only rows
+      with v = 0 exit, so every matching it reaches is an optimum: it never
+      seats a dropped row, by a chain or by a refill.
     A canonicalizer whose output depends only on the set of optima keeps
     the reduction exact as well.
     """

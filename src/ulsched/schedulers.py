@@ -156,7 +156,7 @@ def schedule_iterative_surplus(W: TrafficMatrixW, k=None) -> SchedulerDecision:
         active = np.flatnonzero(b_now > 0)
         if not len(active):
             break
-        w_round = np.minimum(W.p[np.ix_(active, remaining)], b_now[active, None])
+        w_round = np.minimum(W.p[active][:, remaining], b_now[active, None])
         cols, _obj = solve(w_round, [k[ue] for ue in active.tolist()])
         taken = set()
         for ue, c, row in zip(active.tolist(), cols, w_round.tolist()):

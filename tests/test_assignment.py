@@ -1,5 +1,7 @@
 """Tests of the assignment core: worked examples, oracle cross-checks, transforms."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -281,6 +283,26 @@ def test_penalty_tie_rule_when_the_entry_needs_a_chain():
     want_cols, want_obj = brute_force_assignment(replicate_penalty_dummies(r, k))
     cols = [c if c < 3 else -1 for c in want_cols]   # [0, 3, 1, 2]: row 1 unmatched
     assert solve(r, k) == (cols, want_obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 6), levels=st.integers(2, 4))
+def test_cascade_result_does_not_depend_on_the_starting_matching(seed, m, levels):
+    # square and no row may exit: from every optimal matching over the same
+    # duals the search must reach the one tie-rule optimum
+    r = np.random.default_rng(seed).integers(0, levels, size=(m, m))
+    cost = r.max() - r
+    _, u, v = _jv_min(cost.tolist(), m, m)
+    tight = (cost - np.array(u)[:, None] - np.array(v) == 0).T.tolist()
+    want, best = brute_force_assignment(r)
+    rows = np.arange(m)
+    for start in permutations(range(m)):
+        if r[rows, start].sum() != best:
+            continue
+        row_of_col = [0] * m
+        for i, c in enumerate(start):
+            row_of_col[c] = i
+        assert _lexi_cascade(tight, [False] * m, row_of_col, m) == want, start
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,7 @@ def _check_types(cfg: ScenarioConfig) -> None:
     otherwise fail or hang mid-run, be truncated or be read as true."""
     ch = cfg.channel
     _expect("channel", ch, lambda v: isinstance(v, ChannelConfig), "a mapping of channel keys")
-    for key in ("loads_mbps", "voice_params", "video_params", "data_params"):
+    for key in ("loads_mbps", "voice_params", "video_params", "data_params", "sweep"):
         _expect(key, getattr(cfg, key), lambda v: isinstance(v, dict), "a mapping")
     for key in _INT_KEYS:
         _expect(key, getattr(cfg, key), _is_int, "an integer")
@@ -243,6 +243,16 @@ def validate(cfg: ScenarioConfig) -> None:
     for key in ("voice_deadline_ms", "video_deadline_ms"):
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be at least 1")
+    sw = cfg.sweep  # the keys `sweep` reads, and nothing else: a typo is not ignored
+    bad = sorted(set(sw) - {"vary", "points_mbps", "seeds"})
+    if bad:
+        raise ConfigError(f"sweep.{bad[0]} is not a known key")
+    _expect("sweep.vary", sw.get("vary", VOICE), lambda v: v in CLASSES, "|".join(CLASSES))
+    for key, ok, what in (("points_mbps", lambda v: _is_real(v) and v >= 0, "finite numbers >= 0"),
+                          ("seeds", lambda v: _is_int(v) and v >= 0, "integers >= 0")):
+        _expect(f"sweep.{key}", sw.get(key, []), lambda v: isinstance(v, (list, tuple)), "a list")
+        for value in sw.get(key, []):
+            _expect(f"sweep.{key}", value, ok, f"a list of {what}")
     if cfg.ue_mode == "fixed":
         _check_voice_floor(cfg, cfg.n_ues)
 
@@ -406,10 +416,9 @@ def sweep(cfg: ScenarioConfig, points_mbps=None, seeds=None, jobs: int = 1):
     """One run per (load point x seed). The varied class comes from
     cfg.sweep['vary']; the other class loads stay at their configured values.
     Returns the list of summary rows in (point, seed) order."""
-    sw = cfg.sweep or {}
+    validate(cfg)
+    sw = cfg.sweep
     vary = sw.get("vary", VOICE)
-    if vary not in CLASSES:
-        raise ConfigError(f"sweep.vary must be one of {CLASSES}, got {vary!r}")
     points = points_mbps if points_mbps is not None else sw.get("points_mbps")
     if not points:
         raise ConfigError("sweep.points_mbps must list at least one load point")

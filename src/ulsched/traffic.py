@@ -336,9 +336,10 @@ class DataSource:
 
 class UeBuffer:
     """Three per-class FIFO queues with byte capacity, deadline enforcement
-    for the real-time classes, and drop-history tracking. `due` is the first
-    TTI at which `age_and_drop` can report critical bytes, drop, or let a drop
-    leave the history window; a drain can only make it early, which is safe."""
+    for the real-time classes, and drop-history tracking. Only its methods
+    write its byte ledger: the lifetime counters and `total`. `due` is the
+    first TTI at which `age_and_drop` can report critical bytes, drop, or let
+    a drop leave the history window; a send can only make it early (safe)."""
 
     def __init__(self, capacity=65536, threshold=None,
                  voice_deadline=VOICE_DEADLINE_MS, video_deadline=VIDEO_DEADLINE_MS,
@@ -351,7 +352,6 @@ class UeBuffer:
         self.threshold = threshold
         self.deadlines = {VOICE: voice_deadline, VIDEO: video_deadline}
         self.queues = {cls: deque() for cls in CLASSES}
-        self.occupancy = {cls: 0 for cls in CLASSES}
         self.total = 0
         self.history_window = history_window
         self.history = deque()  # (tti, bytes) of each nonzero drop in the window
@@ -375,7 +375,6 @@ class UeBuffer:
             if not q and p.cls != DATA:  # an older head already bounds `due`
                 self.due = min(self.due, p.arrival_tti + self.deadlines[p.cls])
             q.append(p)
-            self.occupancy[p.cls] += p.size
             self.total += p.size
 
     def age_and_drop(self, tti: int) -> tuple[int, int]:
@@ -395,7 +394,6 @@ class UeBuffer:
                 self.deadline_dropped_pkts[cls] += 1
             if gone:
                 self.deadline_dropped[cls] += gone
-                self.occupancy[cls] -= gone
                 self.total -= gone
                 dropped += gone
             for p in q:
@@ -413,13 +411,47 @@ class UeBuffer:
         self.due = min(due, history[0][0] + window) if history else due
         return dropped, critical
 
+    def send(self, packets, grant: int, tti: int) -> list:
+        """Spend `grant` bytes on the buffered `packets` in the order given:
+        whole packets until the grant runs short, then a fragment of the next
+        one, which keeps its queue place and arrival (its delay clock runs
+        on). A grant <= 0 sends nothing. Fully sent packets leave their
+        queues; returns their (cls, size, delay_ms), in send order."""
+        grant = budget = int(grant)
+        delivered = []
+        done = {}  # class -> packets fully sent, still queued
+        transmitted = self.transmitted
+        for p in packets:
+            if budget <= 0:
+                break
+            take = p.remaining if p.remaining <= budget else budget
+            budget -= take
+            p.remaining -= take
+            transmitted[p.cls] += take
+            if p.remaining == 0:
+                done[p.cls] = done.get(p.cls, 0) + 1
+                delivered.append((p.cls, p.size, tti - p.arrival_tti))
+        self.total -= grant - budget
+        for cls, n in done.items():
+            q = self.queues[cls]
+            while n and q[0].remaining == 0:
+                q.popleft()
+                n -= 1
+            if n:  # a non-FIFO order left a sent packet behind the head
+                self.queues[cls] = deque(p for p in q if p.remaining)
+        return delivered
+
+    @property
+    def occupancy(self) -> dict:
+        """Queued bytes per class: the remaining bytes of its queue."""
+        return {cls: sum(p.remaining for p in q) for cls, q in self.queues.items()}
+
     def conservation_holds(self) -> bool:
-        for cls in CLASSES:
-            resident = self.occupancy[cls]
-            if self.arrived[cls] != (self.transmitted[cls] + self.deadline_dropped[cls]
-                                     + self.overflow_dropped[cls] + resident):
-                return False
-        return True
+        """Per class, arrived = sent + dropped + queued; `total` = all queued."""
+        occupancy = self.occupancy
+        return self.total == sum(occupancy.values()) and all(
+            self.arrived[cls] == self.transmitted[cls] + self.deadline_dropped[cls]
+            + self.overflow_dropped[cls] + occupancy[cls] for cls in CLASSES)
 
 
 # ---------------------------------------------------------------------------

@@ -480,6 +480,25 @@ def test_sweep_cardinality_and_monotone_arrivals():
     assert all(row["video_mbps"] == 1.0 and row["data_mbps"] == 1.0 for row in rows)
 
 
+def test_validate_names_each_sweep_key():
+    ok = {"vary": VIDEO, "points_mbps": [0.0, 1, 2.5], "seeds": [0, 5]}
+    validate(ScenarioConfig(sweep=ok))
+    for sw, key in (({"points_mbps": [1.0], "seed": [5, 6]}, "sweep.seed"),  # typo
+                    ({"vary": "audio"}, "sweep.vary"),
+                    ({"points_mbps": ["x"]}, "sweep.points_mbps"),
+                    ({"points_mbps": [float("nan")]}, "sweep.points_mbps"),
+                    ({"points_mbps": [-1.0]}, "sweep.points_mbps"),
+                    ({"points_mbps": 1.0}, "sweep.points_mbps"),
+                    ({"seeds": [1.5]}, "sweep.seeds"),
+                    ({"seeds": [-1]}, "sweep.seeds"),
+                    ({"seeds": [True]}, "sweep.seeds"),
+                    (5, "sweep")):
+        for check in (validate, sweep):  # before any run
+            with pytest.raises(ConfigError) as err:
+                check(ScenarioConfig(tti_count=10, n_ues=2, sweep=sw))
+            assert str(err.value).startswith(key + " "), (sw, str(err.value))
+
+
 def test_sweep_parallel_matches_serial():
     cfg = ScenarioConfig(policy="dham", tti_count=120, n_ues=4,
                          loads_mbps={VOICE: 1.0, VIDEO: 0.0, DATA: 0.0},

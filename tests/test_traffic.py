@@ -397,6 +397,15 @@ def test_aging_only_at_due_ttis_changes_nothing(ops, voice_deadline, video_deadl
             assert drain(gated, grant, tti) == drain(every, grant, tti)
 
 
+def test_conservation_fails_when_total_disagrees_with_the_queues():
+    buf = UeBuffer()
+    buf.enqueue([make_packet(VOICE, 40, 0), make_packet(DATA, 100, 0)])
+    strict_priority_drain(buf, 60, 1)
+    assert buf.conservation_holds() and buf.total == 80
+    buf.total += 1   # the per-class identity alone would still hold
+    assert not buf.conservation_holds()
+
+
 def test_conservation_identity_random_traffic():
     rng = np.random.default_rng(11)
     buf = UeBuffer(capacity=3000)

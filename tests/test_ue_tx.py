@@ -3,6 +3,7 @@ flip_drain against an LP oracle, strict priority, fragmentation bookkeeping."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from ulsched.traffic import DATA, UeBuffer, VIDEO, VOICE, make_packet
@@ -48,10 +49,12 @@ def test_data_reward_zero_below_threshold():
 def test_grant_zero_transmits_nothing():
     buf = _buf()
     buf.enqueue([make_packet(VOICE, 40, 0)])
-    assert flip_drain(buf, 0, 1) == []
-    assert strict_priority_drain(buf, 0, 1) == []
-    assert buf.total == 40 and buf.queues[VOICE][0].remaining == 40
-    assert sum(buf.transmitted.values()) == 0
+    for grant in (0, -7):  # a negative grant books no negative bytes
+        assert flip_drain(buf, grant, 1) == []
+        assert strict_priority_drain(buf, grant, 1) == []
+        assert buf.total == 40 and buf.queues[VOICE][0].remaining == 40
+        assert sum(buf.transmitted.values()) == 0
+        assert buf.conservation_holds()
 
 
 def test_slack_grant_transmits_everything():
@@ -189,3 +192,48 @@ def test_flip_drain_conservation():
         flip_drain(buf, grant, tti=45)
         assert sum(buf.transmitted.values()) == min(grant, sum(p.size for p in pkts))
         assert buf.conservation_holds()
+
+
+def _snapshot(buf):
+    return {cls: [(p, p.arrival_tti, p.remaining) for p in q] for cls, q in buf.queues.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(pkts=st.lists(st.tuples(st.sampled_from([VOICE, VIDEO, DATA]), st.integers(1, 600),
+                               st.integers(0, 40)), max_size=25),
+       earlier=st.lists(st.tuples(st.booleans(), st.integers(0, 700)), max_size=3),
+       strict=st.booleans(), data=st.data())
+def test_both_drains_spend_the_grant_in_one_walk(pkts, earlier, strict, data):
+    # unsorted arrivals, fragments left by earlier grants, then one grant
+    # from -5 to the buffered bytes + 200
+    tti = 45
+    buf = _buf(capacity=100_000, threshold=int(data.draw(st.integers(0, 5000))))
+    buf.enqueue([make_packet(cls, size, arrival) for cls, size, arrival in pkts])
+    for strict_before, grant in earlier:
+        (strict_priority_drain if strict_before else flip_drain)(buf, grant, tti)
+    before, sent_before = _snapshot(buf), dict(buf.transmitted)
+    total = buf.total
+    grant = data.draw(st.integers(-5, total + 200))
+    drain = strict_priority_drain if strict else flip_drain
+    delivered = drain(buf, grant, tti)
+
+    assert total - buf.total == min(max(grant, 0), total)
+    assert sum(buf.transmitted.values()) - sum(sent_before.values()) == total - buf.total
+    partly_sent = 0
+    for cls, entries in before.items():
+        left = [p for p, _arrival, _rem in entries if p.remaining > 0]
+        assert list(buf.queues[cls]) == left  # no sent packet stays; the rest keep their order
+        assert all(p.arrival_tti == arrival for p, arrival, _rem in entries)
+        partly_sent += sum(0 < p.remaining < rem for p, _arrival, rem in entries)
+        assert buf.transmitted[cls] - sent_before[cls] == sum(
+            rem - p.remaining for p, _arrival, rem in entries)
+    assert partly_sent <= 1
+    assert buf.occupancy == {cls: sum(p.remaining for p in q) for cls, q in buf.queues.items()}
+    assert buf.conservation_holds()
+    gone = [(p.cls, p.size, tti - arrival)
+            for cls in (VOICE, VIDEO, DATA) for p, arrival, _rem in before[cls] if not p.remaining]
+    assert sorted(delivered) == sorted(gone)
+    if strict:  # voice, then video, then data, FIFO within each class
+        assert delivered == gone
+        chained = [p for cls in (VOICE, VIDEO, DATA) for p, _a, _r in before[cls]]
+        assert all(not p.remaining for p in chained[:len(delivered)])

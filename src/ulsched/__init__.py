@@ -32,9 +32,7 @@ from .schedulers import (
     SchedulerDecision,
     TrafficMatrixW,
     build_traffic_matrix,
-    compute_drop_matrix,
     dispatch,
-    schedule_darts,
     schedule_iterative_surplus,
 )
 from .traffic import (

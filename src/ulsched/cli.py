@@ -24,11 +24,30 @@ from .schedulers import POLICIES
 EXAMPLES = ("table3", "table4", "table5", "sec2-objective")
 
 
-def _env(name, cast=str):
-    raw = os.environ.get(f"ULSCHED_{name}")
-    if raw is None:
-        return None
-    return cast(raw)
+def _env(name):
+    """The raw ULSCHED_<name> string: argparse parses a string default with
+    the argument's type, so a bad value is named like a bad flag."""
+    return os.environ.get(f"ULSCHED_{name}")
+
+
+def _comma_list(cast, what):
+    def parse(text):
+        try:
+            return [cast(x) for x in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}") from None
+    return parse
+
+
+def _jobs(text):
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return jobs
 
 
 def _build_parser():
@@ -40,11 +59,11 @@ def _build_parser():
     def add_common(p):
         p.add_argument("--config", default=_env("CONFIG"),
                        help="scenario config JSON (defaults apply if omitted)")
-        p.add_argument("--seed", type=int, default=_env("SEED", int))
+        p.add_argument("--seed", type=int, default=_env("SEED"))
         p.add_argument("--policy", choices=POLICIES, default=_env("POLICY"))
         p.add_argument("--ue-policy", choices=("strict", "flip"),
                        default=_env("UE_POLICY"))
-        p.add_argument("--ttis", type=int, default=_env("TTIS", int))
+        p.add_argument("--ttis", type=int, default=_env("TTIS"))
         p.add_argument("--out", default=_env("OUT") or ".",
                        help="output directory for CSV files")
 
@@ -55,11 +74,11 @@ def _build_parser():
 
     p_sweep = sub.add_parser("sweep", help="run a load sweep (points x seeds)")
     add_common(p_sweep)
-    p_sweep.add_argument("--points", default=None,
+    p_sweep.add_argument("--points", type=_comma_list(float, "numbers"),
                          help="comma-separated load points in Mbps (overrides config)")
-    p_sweep.add_argument("--seeds", default=None,
+    p_sweep.add_argument("--seeds", type=_comma_list(int, "integers"),
                          help="comma-separated seeds (overrides config)")
-    p_sweep.add_argument("--jobs", type=int, default=_env("JOBS", int) or 1,
+    p_sweep.add_argument("--jobs", type=_jobs, default=_env("JOBS") or "1",
                          help="parallel worker processes")
 
     p_ex = sub.add_parser("example", help="replay a golden walkthrough scenario")
@@ -114,11 +133,9 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     validate(cfg)
-    points = [float(x) for x in args.points.split(",")] if args.points else None
-    seeds = [int(x) for x in args.seeds.split(",")] if args.seeds else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = sweep(cfg, points_mbps=points, seeds=seeds, jobs=args.jobs)
+    rows = sweep(cfg, points_mbps=args.points, seeds=args.seeds, jobs=args.jobs)
     csv_path = out / f"sweep_{cfg.policy}_{cfg.ue_policy}.csv"
     write_summary_csv(csv_path, rows)
     print(f"RESULT ok policy={cfg.policy} rows={len(rows)} csv={csv_path}")

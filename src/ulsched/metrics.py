@@ -215,12 +215,10 @@ def summary_row(summary: MetricsSummary, policy, ue_policy, seed, loads_mbps) ->
     }
 
 
-def write_summary_csv(path, rows, append=False):
-    mode = "a" if append else "w"
-    with open(path, mode, newline="") as fh:
+def write_summary_csv(path, rows):
+    with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SUMMARY_FIELDS)
-        if not append:
-            writer.writeheader()
+        writer.writeheader()
         for row in rows:
             writer.writerow(row)
 

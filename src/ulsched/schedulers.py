@@ -8,11 +8,13 @@ dafs   - darts driven by the mixed-traffic urgency metric.
 
 The three policies are one assignment problem that differs only in the
 int64 urgency vector k: zero for dham, the critical bytes for darts, the
-mixed urgency for dafs (the engine chooses which). Every decision is one
-or more calls of assignment.solve: one with k as the unmatched-row penalty
-when at least as many users hold data as there are chunks, and one per
-round of the surplus regime (fewer users than chunks) on the depleted
-buffers otherwise.
+mixed urgency for dafs (the engine chooses which). dispatch is the one
+decision path and the only code that turns k and k_current into the
+rewards w - d and the unmatched-row penalty k. It makes one call of
+assignment.solve when at least as many users hold data as there are
+chunks, and one per round of the surplus regime (fewer users than chunks)
+on the depleted buffers otherwise. schedule_darts is a named delegate to
+it.
 """
 
 from dataclasses import dataclass
@@ -70,20 +72,6 @@ def build_traffic_matrix(cqi_grid, b) -> TrafficMatrixW:
     return TrafficMatrixW(w=w, p=p, b=b)
 
 
-def compute_drop_matrix(k_current, W: TrafficMatrixW) -> np.ndarray:
-    """d_ij = max(0, k_i - w_ij): bytes UE i still drops when granted RC j.
-    Uses the current-TTI critical bytes only; history bytes are already gone.
-    """
-    k = np.asarray(k_current, dtype=np.int64)
-    if k.shape != (W.n_ues,):
-        raise SchedulerError(f"need one k per UE, got {k.shape}")
-    return _drops(k, W.w)
-
-
-def _drops(k_current, w):
-    return np.maximum(0, k_current[:, None] - w)
-
-
 def _k_vector(k, n_ues):
     """k as an int64 vector with one entry per UE; None means all zero."""
     if k is None:
@@ -97,43 +85,6 @@ def _k_vector(k, n_ues):
 # ---------------------------------------------------------------------------
 # policies
 # ---------------------------------------------------------------------------
-
-def _assign(W: TrafficMatrixW, rows, rewards, k) -> SchedulerDecision:
-    """Give each UE in the index array `rows` at most one RC, maximizing the
-    sum of the rewards w - d over the pairs minus k for each row left out
-    (rewards and k hold one entry per row). The decision is in full UE
-    indexing; other UEs get nothing."""
-    n, m = W.n_ues, W.n_rcs
-    cols, obj = solve(rewards, k)
-    rc_to_ue = [None] * m
-    ue_rcs = [()] * n
-    grants = np.zeros(n, dtype=np.int64)
-    for ue, c in zip(rows.tolist(), cols):
-        if c >= 0:
-            rc_to_ue[c] = ue
-            ue_rcs[ue] = (c,)
-            grants[ue] = W.w[ue, c]
-    return SchedulerDecision(rc_to_ue=tuple(rc_to_ue), ue_rcs=tuple(ue_rcs),
-                             grants=grants, objective=int(obj))
-
-
-def schedule_darts(W: TrafficMatrixW, k, d=None) -> SchedulerDecision:
-    """Drop-aware scheduling, n_ue >= n_rc: maximize
-    sum(alpha_ij (w_ij - d_ij)) - sum(beta_i k_i). With n_ue == n_rc no dummy
-    is needed and every user is scheduled. `d` may be injected for testing;
-    by default it is compute_drop_matrix(k, W).
-    """
-    if W.n_ues < W.n_rcs:
-        raise SchedulerError("n_ue < n_rc: use schedule_iterative_surplus")
-    k = _k_vector(k, W.n_ues)
-    if d is None:
-        d = compute_drop_matrix(k, W)
-    else:
-        d = np.asarray(d, dtype=np.int64)
-        if d.shape != W.w.shape:
-            raise SchedulerError(f"drop matrix shape {d.shape} != {W.w.shape}")
-    return _assign(W, np.arange(W.n_ues), W.w - d, k)
-
 
 def schedule_iterative_surplus(W: TrafficMatrixW, k=None) -> SchedulerDecision:
     """Surplus-resource regime (n_ue < n_rc): repeat single-RC assignment
@@ -186,21 +137,41 @@ POLICIES = ("dham", "darts", "dafs")
 
 def dispatch(policy: str, W: TrafficMatrixW, k=None, k_current=None) -> SchedulerDecision:
     """Run one TTI decision from the int64 urgency vectors k (unmatched-row
-    penalty) and k_current (drop matrix; defaults to k). dham ignores both.
-    Users with empty buffers take no part (their k is treated as zero: with
-    no bytes buffered nothing can drop this TTI, and an idle user must not
-    consume a resource chunk just to dodge a history penalty). With fewer
-    active users than RCs the iterative surplus regime runs; otherwise one
-    solve over the active users, penalty-padded or square."""
+    penalty) and k_current (defaults to k; the residual drops use the
+    current-TTI critical bytes only, as history bytes are already gone).
+    dham ignores both. Users with empty buffers take no part (their k is
+    treated as zero: with no bytes buffered nothing can drop this TTI, and
+    an idle user must not consume a resource chunk just to dodge a history
+    penalty). With fewer active users than RCs the iterative surplus regime
+    runs; otherwise one solve over the active users, penalty-padded or
+    square, maximizes sum(w_ij - d_ij) over the granted pairs minus k_i for
+    each active user left out, with d_ij = max(0, k_current_i - w_ij). Each
+    such user gets at most one RC."""
     if policy not in POLICIES:
         raise SchedulerError(f"unknown policy {policy!r}")
-    n = W.n_ues
+    n, m = W.n_ues, W.n_rcs
     if policy == "dham":
         k = k_current = None
     k = _k_vector(k, n)
     k_current = k if k_current is None else _k_vector(k_current, n)
     active = np.flatnonzero(W.b > 0)
-    if len(active) < W.n_rcs:
+    if len(active) < m:
         return schedule_iterative_surplus(W, k)
     w = W.w[active]
-    return _assign(W, active, w - _drops(k_current[active], w), k[active])
+    cols, obj = solve(w - np.maximum(0, k_current[active][:, None] - w), k[active])
+    rc_to_ue = [None] * m
+    ue_rcs = [()] * n
+    grants = np.zeros(n, dtype=np.int64)
+    for ue, c in zip(active.tolist(), cols):
+        if c >= 0:
+            rc_to_ue[c] = ue
+            ue_rcs[ue] = (c,)
+            grants[ue] = W.w[ue, c]
+    return SchedulerDecision(rc_to_ue=tuple(rc_to_ue), ue_rcs=tuple(ue_rcs),
+                             grants=grants, objective=int(obj))
+
+
+def schedule_darts(W: TrafficMatrixW, k) -> SchedulerDecision:
+    """dispatch("darts", W, k). It stays because perfbench/run.py's
+    darts_grid calls it by name."""
+    return dispatch("darts", W, k)

@@ -153,6 +153,47 @@ def test_sweep_row_per_point_and_seed(tmp_path, capsys):
         (str(p), str(s)) for p in (0.5, 1.0) for s in (1, 2, 3)}
 
 
+def test_sweep_flags_override_the_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "policy": "dham", "tti_count": 40, "n_ues": 3,
+        "loads_mbps": {"voice": 0.5, "video": 0.0, "data": 0.0},
+        "sweep": {"vary": "voice", "points_mbps": [0.5], "seeds": [1]}}))
+    assert main(["sweep", "--config", str(cfg), "--points", "0.25,2", "--seeds", "4,5",
+                 "--out", str(tmp_path)]) == 0
+    rows = _rows(tmp_path / "sweep_dham_strict.csv")
+    assert [(r["voice_mbps"], r["seed"]) for r in rows] == [
+        ("0.25", "4"), ("0.25", "5"), ("2.0", "4"), ("2.0", "5")]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--points", "x"), ("--points", "1,"), ("--seeds", "1.5"), ("--seeds", ""),
+    ("--jobs", "0"), ("--jobs", "two")])
+def test_bad_sweep_flag_is_a_usage_error_naming_it(flag, value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", flag, value, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())  # nothing ran
+
+
+@pytest.mark.parametrize("name, command, flag", [
+    ("SEED", "run", "--seed"), ("TTIS", "run", "--ttis"), ("JOBS", "sweep", "--jobs")])
+def test_bad_env_value_is_a_usage_error_naming_its_flag(name, command, flag, monkeypatch,
+                                                        tmp_path, capsys):
+    monkeypatch.setenv(f"ULSCHED_{name}", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+
+
+def test_validate_ignores_env_values_of_flags_it_lacks(monkeypatch, capsys):
+    monkeypatch.setenv("ULSCHED_SEED", "abc")
+    assert main(["validate"]) == 0
+    assert "RESULT ok" in capsys.readouterr().out
+
+
 def test_golden_mismatch_exit_code(monkeypatch, capsys):
     import ulsched.cli as cli
     from ulsched.golden import run_scenario

@@ -3,20 +3,17 @@ equivalence of the assignment core with the literal dummy-padding and
 dummy-replication pipelines."""
 
 from itertools import permutations
+from types import SimpleNamespace
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from ulsched.assignment import brute_force_assignment, replicate_penalty_dummies, solve
 from ulsched.schedulers import (
     POLICIES,
-    SchedulerError,
     TrafficMatrixW,
     build_traffic_matrix,
-    compute_drop_matrix,
     dispatch,
-    schedule_darts,
     schedule_iterative_surplus,
 )
 
@@ -135,20 +132,10 @@ def _brute_best_w(w, slots):
 # drop matrix / darts
 # ---------------------------------------------------------------------------
 
-def test_compute_drop_matrix():
-    W = _w([[252], [504]])
-    d = compute_drop_matrix([550, 0], W)
-    assert d[0, 0] == 298
-    assert d[1, 0] == 0
-    d2 = compute_drop_matrix([100, 400], W)
-    assert d2[0, 0] == 0  # fully served criticality
-    assert d2[1, 0] == 0
-
-
 def test_darts_three_user_worked_example():
     W = build_traffic_matrix(np.array([[7], [12], [6]]), [400, 300, 260])
     k = np.array([50, 100, 255])
-    dec = schedule_darts(W, k)
+    dec = dispatch("darts", W, k)
     assert dec.rc_to_ue == (2,)
     assert dec.grants[2] == 252
     # faithful ILP objective includes UE3's residual drop d = 255 - 252 = 3:
@@ -166,7 +153,7 @@ def test_darts_zero_k_reduces_to_dham():
         p = rng.choice([252, 504, 756], size=(n, m))
         W = _w(np.minimum(p, b[:, None]), b=b, p=p)
         zk = np.zeros(n, dtype=np.int64)
-        darts = schedule_darts(W, zk)
+        darts = dispatch("darts", W, zk)
         dham = dispatch("dham", W)
         assert darts.rc_to_ue == dham.rc_to_ue
         assert np.array_equal(darts.grants, dham.grants)
@@ -186,22 +173,25 @@ def _enumerate_ilp(w, d, k):
 
 
 def test_darts_equals_ilp_enumeration():
+    """dispatch's darts decision reaches the enumerated optimum of the
+    program with the residual drops d = max(0, k_current - w) built here,
+    on every row active (b > 0) and with k != k_current, so the penalty and
+    the drop term come from different vectors."""
     rng = np.random.default_rng(77)
     for _ in range(300):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, min(3, n) + 1))
-        w = rng.integers(0, 757, size=(n, m))
-        d = rng.integers(0, 757, size=(n, m))
-        k = rng.integers(0, 757, size=n)
-        W = _w(w)
-        dec = schedule_darts(W, k, d=d)
+        b = rng.integers(1, 1500, size=n)
+        p = rng.choice([252, 504, 756], size=(n, m))
+        w = np.minimum(p, b[:, None])
+        k_cur = rng.integers(0, 900, size=n)
+        k = k_cur + rng.integers(1, 400, size=n)  # plus a drop history
+        d = np.maximum(0, k_cur[:, None] - w)
+        dec = dispatch("darts", TrafficMatrixW(w=w, p=p, b=b), k, k_cur)
         assert dec.objective == _enumerate_ilp(w, d, k)
-
-
-def test_darts_rejects_surplus_regime():
-    W = _w(np.array([[1, 2, 3], [4, 5, 6]]))
-    with pytest.raises(SchedulerError):
-        schedule_darts(W, np.zeros(2, dtype=int))
+        granted = [(ue, rcs[0]) for ue, rcs in enumerate(dec.ue_rcs) if rcs]
+        assert dec.objective == (sum(w[i, j] - d[i, j] for i, j in granted)
+                                 - sum(k[i] for i in range(n) if not dec.ue_rcs[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +334,9 @@ def test_dispatch_determinism_and_regimes():
 
 def test_dispatch_equals_the_policy_on_the_active_rows():
     """Idle UEs (b = 0) take no part in a decision, whatever their k: dispatch
-    equals schedule_darts (active >= RCs) or schedule_iterative_surplus
-    (active < RCs) run on the active sub-matrix and mapped back."""
+    equals solve on the active sub-matrix's rewards w - max(0, k_current - w)
+    with penalty k (active >= RCs) or schedule_iterative_surplus (active <
+    RCs) run on the active sub-matrix, mapped back."""
     rng = np.random.default_rng(31)
     regimes = set()
     for _ in range(300):
@@ -368,8 +359,12 @@ def test_dispatch_equals_the_policy_on_the_active_rows():
                 want = schedule_iterative_surplus(sub, kk[active])
             else:
                 regimes.add("square" if len(active) == m else "penalty")
-                want = schedule_darts(sub, kk[active],
-                                      d=compute_drop_matrix(kc[active], sub))
+                w = sub.w
+                cols, obj = solve(w - np.maximum(0, kc[active][:, None] - w), kk[active])
+                want = SimpleNamespace(
+                    grants=np.array([w[i, c] if c >= 0 else 0 for i, c in enumerate(cols)]),
+                    rc_to_ue=tuple(cols.index(c) if c in cols else None for c in range(m)),
+                    objective=obj)
             grants = np.zeros(n, dtype=np.int64)
             grants[active] = want.grants
             assert np.array_equal(got.grants, grants)

@@ -1,7 +1,8 @@
-"""The benchmark tracer's contract with the package: `perfbench/tracer.py`
-wraps engine and scheduler boundary functions and per-TTI methods by name
-and checks each TTI's decision and drains. A refactor that renames one of
-those names, or changes what the drains do to the buffers, shows up here."""
+"""The benchmark's contract with the package: `perfbench/tracer.py` wraps
+engine and scheduler boundary functions and per-TTI methods by name and
+checks each TTI's decision and drains, and `perfbench/run.py`'s synthetic
+grid calls the scheduler by name. A refactor that renames one of those
+names, or changes what the drains do to the buffers, shows up here."""
 
 import importlib.util
 from pathlib import Path
@@ -19,11 +20,11 @@ import ulsched.ue_tx
 from ulsched.engine import ScenarioConfig
 from ulsched.traffic import DATA, VIDEO, VOICE
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
@@ -38,7 +39,7 @@ MODULES = SimpleNamespace(assignment=ulsched.assignment, channel=ulsched.channel
 @pytest.mark.parametrize("ue_policy", ["strict", "flip"])
 @pytest.mark.parametrize("policy", ["dham", "darts", "dafs"])
 def test_traced_run_passes_the_tracer_checks(policy, ue_policy):
-    tracer = _load_tracer().Tracer()
+    tracer = _load_perfbench("tracer").Tracer()
     # 12 UEs on 8 RCs, overloaded, with short deadlines and small buffers:
     # surplus and penalty decisions, deadline drops and overflow in 40 TTIs
     cfg = ScenarioConfig(policy=policy, ue_policy=ue_policy, seed=2, tti_count=40, n_ues=12,
@@ -58,3 +59,16 @@ def test_traced_run_passes_the_tracer_checks(policy, ue_policy):
     assert tracer.stat(0, "schedulers.dispatch") == 40
     assert tracer.stat(0, "ue_tx.flip_drain", "ue_tx.strict_priority_drain") > 0
     assert ulsched.engine.dispatch is ulsched.schedulers.dispatch  # uninstalled
+
+
+def test_benchmark_darts_grid_runs_on_this_tree(monkeypatch):
+    """The `--trace 1` synthetic grid makes 131 checked decisions on this
+    tree (about 0.25 s on a 2-core host) and writes nothing."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports tracer, workloads
+    bench = _load_perfbench("run")
+    ops = bench.Ops()
+    metrics = bench.darts_grid(MODULES, 1, ops)
+    assert ops.attempted == sum(calls + 1 for _, _, calls in bench.DARTS_GRID) == 131
+    assert ops.failed == 0
+    assert sorted(metrics) == sorted(f"schedulers.darts_{n}x{m}_us"
+                                     for n, m, _ in bench.DARTS_GRID)

@@ -10,7 +10,8 @@ once; each `grid` call (one per TTI, in TTI order) adds that TTI's Rayleigh
 fading and first-tier interference, both drawn FADING_BLOCK_TTIS TTIs ahead.
 That leaves the realization unchanged: every UE owns its fading generator,
 the interference stream keeps its per-TTI draw order, and a fill of N values
-yields the same values as N smaller draws in turn.
+yields the same values as N smaller draws in turn. A replayed trace
+(`load_cqi_trace`) is indexed by the engine and never reaches the model.
 """
 
 import math
@@ -198,40 +199,35 @@ def load_cqi_trace(path, n_ue: int, n_rc: int) -> np.ndarray:
 
 
 class CqiSource:
-    """Per-TTI CQI grids (n_ue, rc_count), realized from the geometric model
-    or replayed verbatim from a trace file (the model is then never consulted).
+    """Per-TTI CQI grids (n_ue, rc_count) realized from the geometric model.
 
-    In model mode, call `grid` once per TTI in TTI order: the k-th call
-    returns the k-th TTI's grid whatever `tti` says. fading_rngs holds one
-    generator per UE, so adding a UE never perturbs the draws of the others;
-    interference placement uses its own stream. Every FADING_BLOCK_TTIS calls
-    refill the block buffers; the grids are the same as with per-TTI draws,
+    Call `grid` once per TTI in TTI order: the k-th call returns the k-th
+    TTI's grid whatever `tti` says. fading_rngs holds one generator per UE,
+    so adding a UE never perturbs the draws of the others; interference
+    placement uses its own stream. Every FADING_BLOCK_TTIS calls refill the
+    block buffers; the grids are the same as with per-TTI draws,
     deterministic for a fixed master seed.
     """
 
-    def __init__(self, topo, cfg, fading_rngs=None, interference_rng=None, trace=None):
+    def __init__(self, topo, cfg, fading_rngs, interference_rng):
         self._topo = topo
         self._cfg = cfg
         self._fading_rngs = fading_rngs
         self._interference_rng = interference_rng
-        self._trace = trace
-        if trace is None:
-            self._calls = 0
-            pc = pc_estimate_db(topo, cfg)
-            ptx = uplink_tx_power(pc, cfg.prb_per_rc, cfg)
-            self._signal = (ptx - (pc + topo.ue_shadow_db))[:, None, None]  # dBm
-            self._noise_mw = _dbm_to_mw(cfg.noise_dbm_per_rc())
-            self._thresholds = np.asarray(cfg.cqi_thresholds_db)
-            # per block: signal plus fading (n_ue, TTI, RC) and the noise-plus-
-            # interference dBm (TTI, RC), from the draws (3, TTI, 6, RC)
-            block = (FADING_BLOCK_TTIS, cfg.rc_count)
-            self._faded = np.broadcast_to(self._signal, (topo.n_ues,) + block).copy()
-            self._denom = np.empty(block)
-            self._draws = np.empty((3, FADING_BLOCK_TTIS, 6, cfg.rc_count))
+        self._calls = 0
+        pc = pc_estimate_db(topo, cfg)
+        ptx = uplink_tx_power(pc, cfg.prb_per_rc, cfg)
+        self._signal = (ptx - (pc + topo.ue_shadow_db))[:, None, None]  # dBm
+        self._noise_mw = _dbm_to_mw(cfg.noise_dbm_per_rc())
+        self._thresholds = np.asarray(cfg.cqi_thresholds_db)
+        # per block: signal plus fading (n_ue, TTI, RC) and the noise-plus-
+        # interference dBm (TTI, RC), from the draws (3, TTI, 6, RC)
+        block = (FADING_BLOCK_TTIS, cfg.rc_count)
+        self._faded = np.broadcast_to(self._signal, (topo.n_ues,) + block).copy()
+        self._denom = np.empty(block)
+        self._draws = np.empty((3, FADING_BLOCK_TTIS, 6, cfg.rc_count))
 
     def grid(self, tti: int) -> np.ndarray:
-        if self._trace is not None:
-            return self._trace[min(tti, len(self._trace) - 1)]
         i = self._calls % FADING_BLOCK_TTIS
         self._calls += 1
         if i == 0:

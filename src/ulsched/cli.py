@@ -17,11 +17,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .engine import ConfigError, ScenarioConfig, run, sweep, validate
-from .golden import format_trace, verify_scenario
+from .golden import EXPECTED, format_trace, verify_scenario
 from .metrics import summary_row, write_summary_csv, write_trace_csv
 from .schedulers import POLICIES
-
-EXAMPLES = ("table3", "table4", "table5", "sec2-objective")
 
 
 def _env(name):
@@ -82,7 +80,7 @@ def _build_parser():
                          help="parallel worker processes")
 
     p_ex = sub.add_parser("example", help="replay a golden walkthrough scenario")
-    p_ex.add_argument("name", choices=EXAMPLES)
+    p_ex.add_argument("name", choices=tuple(EXPECTED))
 
     p_val = sub.add_parser("validate", help="validate a scenario config file")
     p_val.add_argument("--config", default=_env("CONFIG"), required=False)

@@ -354,14 +354,13 @@ def run(cfg: ScenarioConfig) -> MetricsSummary:
         if len(trace) < cfg.tti_count:
             raise ConfigError(f"cqi_trace {cfg.cqi_trace} has {len(trace)} lines, "
                               f"fewer than tti_count = {cfg.tti_count}")
-        cqi_source = CqiSource(topo=None, cfg=None, trace=trace)
+        grid = trace.__getitem__
     else:
         fading = [np.random.default_rng([cfg.seed, 4, ue]) for ue in range(n)]
         interference = np.random.default_rng([cfg.seed, 5])
-        cqi_source = CqiSource(topo=topo, cfg=cfg.channel,
-                               fading_rngs=fading, interference_rng=interference)
-    worst = worst_user(topo) if n else 0
-    collector = MetricsCollector(n, worst, keep_trace=cfg.keep_trace)
+        grid = CqiSource(topo=topo, cfg=cfg.channel,
+                         fading_rngs=fading, interference_rng=interference).grid
+    collector = MetricsCollector(worst_user(topo) if n else 0, keep_trace=cfg.keep_trace)
     dafs = cfg.policy == "dafs"
     drain = flip_drain if cfg.ue_policy == "flip" else strict_priority_drain
 
@@ -392,16 +391,14 @@ def run(cfg: ScenarioConfig) -> MetricsSummary:
         delivered = []
         decision = None
         if n:
-            W = build_traffic_matrix(cqi_source.grid(tti), b)
+            W = build_traffic_matrix(grid(tti), b)
             decision = dispatch(cfg.policy, W, k, k_current)
             grants = decision.grants
             for ue in np.flatnonzero(grants).tolist():
                 buf = buffers[ue]
                 before = buf.total
-                got = drain(buf, int(grants[ue]), tti)
+                delivered += drain(buf, int(grants[ue]), tti)
                 sent += before - buf.total
-                if got:
-                    delivered.append((ue, got))
         collector.record_tti(tti, dropped, sent, delivered, decision)
     return collector.finalize(buffers)
 
@@ -423,6 +420,8 @@ def sweep(cfg: ScenarioConfig, points_mbps=None, seeds=None, jobs: int = 1):
     if not points:
         raise ConfigError("sweep.points_mbps must list at least one load point")
     seeds = seeds if seeds is not None else sw.get("seeds", [cfg.seed])
+    if not seeds:
+        raise ConfigError("sweep.seeds must list at least one seed")
     configs = []
     for point in points:
         loads = dict(cfg.loads_mbps)

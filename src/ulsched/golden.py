@@ -14,7 +14,7 @@ Three scenarios:
   table4: dham with deadline drops - totals 1010 transmitted / 420 dropped.
   table5: darts with deadline drops - totals 1192 transmitted / 238 dropped.
 The per-user what-if objectives in the first slot (45, -5, 102, choosing
-user 3) are exposed as the `objectives` scenario.
+user 3) are exposed as the `sec2-objective` scenario.
 """
 
 from dataclasses import dataclass
@@ -66,13 +66,14 @@ EXPECTED = {
         "total_transmitted": 1192,
         "total_dropped": 238,
     },
-    "objectives": {"values": (45, -5, 102), "selected": 2},
+    "sec2-objective": {"values": (45, -5, 102), "selected": 2},
 }
+# walkthrough scenario -> (policy, with deadline drops)
+SCENARIOS = {"table3": ("dham", False), "table4": ("dham", True), "table5": ("darts", True)}
 
 
 @dataclass
 class WalkthroughTrace:
-    scenario: str
     buffers: list       # [ue][slot] buffered bytes at slot start
     critical: list      # [ue][slot] bytes crossing the deadline that slot
     scheduled: list     # [slot] chosen ue
@@ -137,7 +138,7 @@ def run_walkthrough(policy: str, with_drops: bool = True) -> WalkthroughTrace:
         transmitted.append(sent)
         dropped.append(slot_drop)
     return WalkthroughTrace(
-        scenario="", buffers=buffers, critical=critical,
+        buffers=buffers, critical=critical,
         scheduled=scheduled, transmitted=transmitted, dropped=dropped)
 
 
@@ -157,47 +158,23 @@ def first_slot_objectives():
 
 
 def run_scenario(name: str) -> WalkthroughTrace:
-    if name == "table3":
-        tr = run_walkthrough("dham", with_drops=False)
-    elif name == "table4":
-        tr = run_walkthrough("dham", with_drops=True)
-    elif name == "table5":
-        tr = run_walkthrough("darts", with_drops=True)
-    else:
+    if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}")
-    tr.scenario = name
-    return tr
+    return run_walkthrough(*SCENARIOS[name])
 
 
 def verify_scenario(name: str):
-    """Compare a replay against the frozen expectations.
+    """Compare a replay against the frozen expectations, field by field.
     Returns (trace_or_values, list of mismatch descriptions)."""
-    problems = []
-    if name == "sec2-objective":
-        values, selected = first_slot_objectives()
-        want = EXPECTED["objectives"]
-        if values != want["values"]:
-            problems.append(f"objectives {values} != {want['values']}")
-        if selected != want["selected"]:
-            problems.append(f"selected ue {selected} != {want['selected']}")
-        return (values, selected), problems
-    tr = run_scenario(name)
     want = EXPECTED[name]
-    if tr.buffers != want["buffers"]:
-        problems.append(f"buffer matrix mismatch: {tr.buffers}")
-    if "critical" in want and tr.critical != want["critical"]:
-        problems.append(f"critical matrix mismatch: {tr.critical}")
-    if tr.scheduled != want["scheduled"]:
-        problems.append(f"schedule {tr.scheduled} != {want['scheduled']}")
-    if tr.transmitted != want["transmitted"]:
-        problems.append(f"transmitted {tr.transmitted} != {want['transmitted']}")
-    if "dropped" in want and tr.dropped != want["dropped"]:
-        problems.append(f"dropped {tr.dropped} != {want['dropped']}")
-    if "total_transmitted" in want and tr.total_transmitted != want["total_transmitted"]:
-        problems.append(f"total transmitted {tr.total_transmitted}")
-    if "total_dropped" in want and tr.total_dropped != want["total_dropped"]:
-        problems.append(f"total dropped {tr.total_dropped}")
-    return tr, problems
+    if name == "sec2-objective":
+        result = first_slot_objectives()
+        got = dict(zip(("values", "selected"), result))
+    else:
+        result = run_scenario(name)
+        got = {key: getattr(result, key) for key in want}
+    return result, [f"{key} {got[key]} != {value}"
+                    for key, value in want.items() if got[key] != value]
 
 
 def format_trace(tr: WalkthroughTrace) -> str:

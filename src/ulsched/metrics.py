@@ -76,31 +76,25 @@ class MetricsSummary:
 
 
 class MetricsCollector:
-    """Streaming per-TTI accumulation; per-UE partials are independent
-    counters so concurrent UE stepping could merge them in any order."""
+    """Streaming per-TTI accumulation of what the buffers do not keep: the
+    delivered-packet delay histograms and the optional per-TTI trace rows."""
 
-    def __init__(self, n_ues: int, worst_ue: int, keep_trace: bool = False):
-        self.n_ues = n_ues
+    def __init__(self, worst_ue: int, keep_trace: bool = False):
         self.worst_ue = worst_ue
         self.keep_trace = keep_trace
         self.tti_count = 0
-        self.delivered_packets = {cls: 0 for cls in CLASSES}
-        self.worst_delivered = {cls: 0 for cls in CLASSES}
         # delay histograms: delays are bounded small ints (ms)
         self.delay_hist = {cls: {} for cls in CLASSES}
         self.trace_rows = []
 
     def record_tti(self, tti: int, dropped: int, sent: int, delivered, decision=None):
         """dropped, sent: this TTI's deadline-dropped and transmitted bytes
-        over all UEs; delivered: (ue, [(cls, size, delay_ms), ...]) pairs."""
+        over all UEs; delivered: the TTI's (cls, size, delay_ms) packets."""
         self.tti_count += 1
-        for ue, pkts in delivered:
-            for cls, _size, delay in pkts:
-                self.delivered_packets[cls] += 1
-                h = self.delay_hist[cls]
-                h[delay] = h.get(delay, 0) + 1
-                if ue == self.worst_ue:
-                    self.worst_delivered[cls] += 1
+        hist = self.delay_hist
+        for cls, _size, delay in delivered:
+            h = hist[cls]
+            h[delay] = h.get(delay, 0) + 1
         if self.keep_trace:
             sched = [] if decision is None else [
                 (rc, ue) for rc, ue in enumerate(decision.rc_to_ue) if ue is not None]
@@ -132,15 +126,17 @@ class MetricsCollector:
             delay_mean[cls] = mean
             delay_p95[cls] = p95
             delay_max[cls] = mx
+        worst = (dict(buffers[self.worst_ue].delivered_pkts) if buffers
+                 else {cls: 0 for cls in CLASSES})
         return MetricsSummary(
-            n_ues=self.n_ues, tti_count=self.tti_count, worst_ue=self.worst_ue,
+            n_ues=len(buffers), tti_count=self.tti_count, worst_ue=self.worst_ue,
             arrived=total("arrived"), transmitted=total("transmitted"),
             deadline_dropped=total("deadline_dropped"),
             overflow_dropped=total("overflow_dropped"), resident=total("occupancy"),
-            delivered_packets=dict(self.delivered_packets),
+            delivered_packets=total("delivered_pkts"),
             dropped_packets=total("deadline_dropped_pkts"),
             per_ue_throughput_bytes=per_ue,
-            worst_ue_delivered=dict(self.worst_delivered),
+            worst_ue_delivered=worst,
             delay_mean_ms=delay_mean, delay_p95_ms=delay_p95, delay_max_ms=delay_max,
             jain=jain, jain_defined=defined, conservation_ok=ok,
             trace_rows=self.trace_rows)
@@ -161,24 +157,6 @@ def _hist_stats(hist):
 # ---------------------------------------------------------------------------
 # CSV output
 # ---------------------------------------------------------------------------
-
-SUMMARY_FIELDS = [
-    "policy", "ue_policy", "seed", "tti_count", "n_ues",
-    "voice_mbps", "video_mbps", "data_mbps",
-    "offered_mbps", "mac_throughput_mbps", "jain", "jain_defined",
-    "transmitted_bytes", "arrived_bytes",
-    "voice_tx_bytes", "video_tx_bytes", "data_tx_bytes",
-    "voice_drop_bytes", "video_drop_bytes", "data_drop_bytes",
-    "overflow_drop_bytes",
-    "voice_delivered_pkts", "video_delivered_pkts", "data_delivered_pkts",
-    "voice_dropped_pkts", "video_dropped_pkts",
-    "worst_ue", "worst_voice_delivered", "worst_video_delivered",
-    "worst_data_delivered",
-    "voice_delay_mean_ms", "voice_delay_max_ms",
-    "video_delay_mean_ms", "video_delay_max_ms",
-    "conservation_ok",
-]
-
 
 def summary_row(summary: MetricsSummary, policy, ue_policy, seed, loads_mbps) -> dict:
     s = summary
@@ -216,8 +194,10 @@ def summary_row(summary: MetricsSummary, policy, ue_policy, seed, loads_mbps) ->
 
 
 def write_summary_csv(path, rows):
+    """Write `summary_row` dicts, a non-empty list; the header is the first
+    row's keys, in order."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SUMMARY_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

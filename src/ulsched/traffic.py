@@ -1,7 +1,7 @@
 """Multi-class traffic: voice (two-state Markov), near-real-time video
 (frame bursts with truncated-Pareto sizes), self-similar data (aggregated
 Pareto on/off sources), plus the per-UE deadline-aware buffers, whose
-lifetime counters are the run's byte ledger.
+lifetime counters are the run's ledger of bytes and packet outcomes.
 
 All byte accounting is integral. Delays are measured in TTIs (1 ms).
 
@@ -337,7 +337,7 @@ class DataSource:
 class UeBuffer:
     """Three per-class FIFO queues with byte capacity, deadline enforcement
     for the real-time classes, and drop-history tracking. Only its methods
-    write its byte ledger: the lifetime counters and `total`. `due` is the
+    write its ledger: the lifetime counters and `total`. `due` is the
     first TTI at which `age_and_drop` can report critical bytes, drop, or let
     a drop leave the history window; a send can only make it early (safe)."""
 
@@ -357,12 +357,14 @@ class UeBuffer:
         self.history = deque()  # (tti, bytes) of each nonzero drop in the window
         self.history_sum = 0
         self.due = NEVER
-        # lifetime byte counters for the conservation identity
+        # lifetime byte counters for the conservation identity, then the
+        # per-class packet outcomes
         self.arrived = {cls: 0 for cls in CLASSES}
         self.transmitted = {cls: 0 for cls in CLASSES}
         self.deadline_dropped = {cls: 0 for cls in CLASSES}
         self.overflow_dropped = {cls: 0 for cls in CLASSES}
         self.deadline_dropped_pkts = {cls: 0 for cls in CLASSES}
+        self.delivered_pkts = {cls: 0 for cls in CLASSES}
 
     def enqueue(self, packets) -> None:
         """Append packets to their class FIFOs; tail-drop on overflow."""
@@ -416,7 +418,8 @@ class UeBuffer:
         whole packets until the grant runs short, then a fragment of the next
         one, which keeps its queue place and arrival (its delay clock runs
         on). A grant <= 0 sends nothing. Fully sent packets leave their
-        queues; returns their (cls, size, delay_ms), in send order."""
+        queues and count in `delivered_pkts`; returns their (cls, size,
+        delay_ms), in send order."""
         grant = budget = int(grant)
         delivered = []
         done = {}  # class -> packets fully sent, still queued
@@ -433,6 +436,7 @@ class UeBuffer:
                 delivered.append((p.cls, p.size, tti - p.arrival_tti))
         self.total -= grant - budget
         for cls, n in done.items():
+            self.delivered_pkts[cls] += n
             q = self.queues[cls]
             while n and q[0].remaining == 0:
                 q.popleft()

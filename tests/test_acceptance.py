@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from scipy.optimize import linprog
 
 from ulsched.assignment import brute_force_assignment, solve
@@ -299,24 +300,28 @@ def _ordering(name, lhs, rhs, strict=True, need=8):
 JAIN, MAC, WVOICE, WVIDEO = 0, 1, 2, 3
 
 
+@pytest.mark.slow
 def test_criterion_7a_fairness_ordering():
     ok, _ = _ordering("criterion-7a jain darts>dham",
                       ("darts", "strict", JAIN), ("dham", "strict", JAIN))
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_7b_throughput_ordering():
     ok, _ = _ordering("criterion-7b mac dham>=dafs",
                       ("dham", "strict", MAC), ("dafs", "strict", MAC), strict=False)
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_7c_worst_user_voice_ordering():
     ok, _ = _ordering("criterion-7c worst-voice darts>dham",
                       ("darts", "strict", WVOICE), ("dham", "strict", WVOICE))
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_7d_worst_user_video_ordering():
     ok1, _ = _ordering("criterion-7d worst-video dafs_pf>dafs",
                        ("dafs", "flip", WVIDEO), ("dafs", "strict", WVIDEO))
@@ -325,6 +330,7 @@ def test_criterion_7d_worst_user_video_ordering():
     assert ok1 and ok2
 
 
+@pytest.mark.slow
 def test_criterion_7e_worst_user_voice_flip_cost():
     ok, _ = _ordering("criterion-7e worst-voice dafs>=dafs_pf",
                       ("dafs", "strict", WVOICE), ("dafs", "flip", WVOICE),
@@ -332,6 +338,7 @@ def test_criterion_7e_worst_user_voice_flip_cost():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_7f_delay_bounds_all_runs():
     res = _trend_results()
     max_vo = max(v[4] for v in res.values())

@@ -235,21 +235,6 @@ def test_realize_grid_same_position_no_fading_identical_rows():
         assert np.array_equal(grid[0], grid[1])
 
 
-def test_cqi_trace_fixture_bypasses_model(tmp_path, monkeypatch):
-    trace = tmp_path / "cqi.txt"
-    trace.write_text("7 12 6\n" * 5)
-    grids = load_cqi_trace(trace, n_ue=3, n_rc=1)
-    assert grids.shape == (5, 3, 1)
-    src = CqiSource(topo=None, cfg=None, trace=grids)
-    # the geometric pipeline must never be consulted in fixture mode
-    for name in ("draw_fading_db", "interference_block_dbm"):
-        monkeypatch.setattr(chan, name,
-                            lambda *a, **k: (_ for _ in ()).throw(AssertionError("consulted")))
-    for t in range(8):  # reads past the end stick to the last line
-        g = src.grid(t)
-        assert g[:, 0].tolist() == [7, 12, 6]
-
-
 def test_cqi_trace_validation(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("7 12\n")

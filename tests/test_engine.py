@@ -15,6 +15,7 @@ from ulsched.engine import (
     sweep,
     validate,
 )
+from ulsched.channel import load_cqi_trace
 from ulsched.traffic import DATA, VIDEO, VOICE
 
 FAST = dict(tti_count=400, n_ues=8,
@@ -452,6 +453,32 @@ def test_cqi_trace_fixture_run(tmp_path):
     assert s.conservation_ok
 
 
+def test_cqi_trace_fixture_bypasses_model(tmp_path, monkeypatch):
+    # a replayed run never builds the channel model, and each TTI's W is
+    # built from that TTI's trace line verbatim
+    import ulsched.engine as engine
+    n_rc = ScenarioConfig().channel.rc_count
+    rows = np.random.default_rng(5).integers(1, 16, size=(20, 3, n_rc))
+    trace = tmp_path / "cqi.txt"
+    trace.write_text("".join(" ".join(map(str, r.ravel().tolist())) + "\n" for r in rows))
+    assert load_cqi_trace(trace, n_ue=3, n_rc=n_rc).shape == (20, 3, n_rc)
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("CqiSource constructed for a replayed run")
+
+    seen = []
+    build = engine.build_traffic_matrix
+    monkeypatch.setattr(engine, "CqiSource", no_model)
+    monkeypatch.setattr(engine, "build_traffic_matrix",
+                        lambda grid, b: seen.append(grid.copy()) or build(grid, b))
+    s = run(ScenarioConfig(policy="dham", seed=1, tti_count=20, n_ues=3,
+                           loads_mbps={VOICE: 0.3, VIDEO: 0.0, DATA: 0.0},
+                           cqi_trace=str(trace)))
+    assert s.conservation_ok and s.tti_count == 20
+    assert len(seen) == 20
+    assert all(np.array_equal(got, want) for got, want in zip(seen, rows))
+
+
 def test_arrival_trace_fixture_run(tmp_path):
     arr = tmp_path / "arrivals.txt"
     lines = [f"{t} {ue} voice 50" for t in range(100) for ue in range(3)]
@@ -497,6 +524,15 @@ def test_validate_names_each_sweep_key():
             with pytest.raises(ConfigError) as err:
                 check(ScenarioConfig(tti_count=10, n_ues=2, sweep=sw))
             assert str(err.value).startswith(key + " "), (sw, str(err.value))
+
+
+def test_sweep_rejects_an_empty_seed_list():
+    # an empty seed list used to run nothing and write a header-only CSV
+    cfg = ScenarioConfig(tti_count=10, n_ues=2, sweep={"points_mbps": [1.0], "seeds": []})
+    with pytest.raises(ConfigError, match="sweep.seeds"):
+        sweep(cfg)
+    with pytest.raises(ConfigError, match="sweep.seeds"):
+        sweep(replace(cfg, sweep={"points_mbps": [1.0]}), seeds=[])
 
 
 def test_sweep_parallel_matches_serial():

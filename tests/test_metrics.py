@@ -78,7 +78,7 @@ def test_worst_user_matches_recomputation_with_shadowing():
 
 
 def test_collector_zero_run_convention():
-    col = MetricsCollector(n_ues=3, worst_ue=0)
+    col = MetricsCollector(worst_ue=0)
     bufs = [UeBuffer() for _ in range(3)]
     for tti in range(5):
         col.record_tti(tti, 0, 0, [])
@@ -89,10 +89,10 @@ def test_collector_zero_run_convention():
 
 
 def test_collector_single_ue_jain():
-    col = MetricsCollector(n_ues=1, worst_ue=0)
+    col = MetricsCollector(worst_ue=0)
     buf = UeBuffer()
     buf.enqueue([make_packet(VOICE, 40, 0)])
-    col.record_tti(0, 0, 40, [(0, strict_priority_drain(buf, 40, 0))])
+    col.record_tti(0, 0, 40, strict_priority_drain(buf, 40, 0))
     s = col.finalize([buf])
     assert s.jain == pytest.approx(1.0) and s.jain_defined
     assert s.delivered_packets[VOICE] == 1
@@ -100,12 +100,12 @@ def test_collector_single_ue_jain():
 
 
 def test_collector_delay_stats_and_worst_tracking():
-    col = MetricsCollector(n_ues=2, worst_ue=1)
+    col = MetricsCollector(worst_ue=1)
     bufs = [UeBuffer(), UeBuffer()]
     bufs[0].enqueue([make_packet(VOICE, 40, 0)])
     bufs[1].enqueue([make_packet(VIDEO, 100, 0), make_packet(DATA, 50, 0)])
-    delivered = [(0, strict_priority_drain(bufs[0], 40, 10)),
-                 (1, strict_priority_drain(bufs[1], 150, 20))]
+    delivered = (strict_priority_drain(bufs[0], 40, 10)
+                 + strict_priority_drain(bufs[1], 150, 20))
     col.record_tti(20, 0, 190, delivered)
     s = col.finalize(bufs)
     assert s.delay_mean_ms[VOICE] == pytest.approx(10.0)
@@ -116,10 +116,10 @@ def test_collector_delay_stats_and_worst_tracking():
 
 def test_summary_csv_roundtrip(tmp_path):
     import csv
-    col = MetricsCollector(n_ues=1, worst_ue=0)
+    col = MetricsCollector(worst_ue=0)
     buf = UeBuffer()
     buf.enqueue([make_packet(VOICE, 40, 0)])
-    col.record_tti(0, 0, 40, [(0, strict_priority_drain(buf, 40, 0))])
+    col.record_tti(0, 0, 40, strict_priority_drain(buf, 40, 0))
     s = col.finalize([buf])
     row = summary_row(s, "dham", "strict", 7, {VOICE: 1.0, VIDEO: 0.0, DATA: 0.0})
     path = tmp_path / "out.csv"
@@ -134,7 +134,7 @@ def test_summary_csv_roundtrip(tmp_path):
 def test_finalize_twice_gives_equal_summaries():
     # finalize used to add the buffers' dropped-packet counts into the
     # collector, so a second call doubled dropped_packets
-    col = MetricsCollector(n_ues=2, worst_ue=0)
+    col = MetricsCollector(worst_ue=0)
     bufs = [UeBuffer(), UeBuffer()]
     bufs[0].enqueue([make_packet(VOICE, 40, 0), make_packet(VIDEO, 100, 0)])
     bufs[1].enqueue([make_packet(VOICE, 30, 0), make_packet(DATA, 50, 0)])

@@ -4,6 +4,7 @@ checks each TTI's decision and drains, and `perfbench/run.py`'s synthetic
 grid calls the scheduler by name. A refactor that renames one of those
 names, or changes what the drains do to the buffers, shows up here."""
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
@@ -72,3 +73,22 @@ def test_benchmark_darts_grid_runs_on_this_tree(monkeypatch):
     assert ops.failed == 0
     assert sorted(metrics) == sorted(f"schedulers.darts_{n}x{m}_us"
                                      for n, m, _ in bench.DARTS_GRID)
+
+
+def test_replay_workload_runs_under_the_tracer(tmp_path):
+    """`surplus_dham_replay` writes its traces with `CqiSource` by keyword
+    and is the only workload that takes the engine's replay branch."""
+    workloads = _load_perfbench("workloads")
+    wl = dataclasses.replace(workloads.WORKLOADS["surplus_dham_replay"], tti_count=200)
+    seed = workloads.sub_seed(1, 0)
+    workloads.write_replay_traces(MODULES, wl, seed, tmp_path)
+    cfg = workloads.scenario(MODULES, wl, seed, tmp_path)
+    tracer = _load_perfbench("tracer").Tracer()
+    tracer.install(MODULES)
+    try:
+        summary = ulsched.engine.run(cfg)
+    finally:
+        tracer.uninstall()
+    assert tracer.failures == []
+    assert set(tracer.absent) <= {"traffic.compute_urgency"}
+    assert summary.conservation_ok and summary.tti_count == 200

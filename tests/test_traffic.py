@@ -365,7 +365,7 @@ def _buffer_state(buf):
     queues = {cls: [(p.size, p.arrival_tti, p.remaining) for p in q]
               for cls, q in buf.queues.items()}
     counters = (buf.arrived, buf.transmitted, buf.deadline_dropped, buf.overflow_dropped,
-                buf.deadline_dropped_pkts, buf.occupancy)
+                buf.deadline_dropped_pkts, buf.delivered_pkts, buf.occupancy)
     return queues, [dict(c) for c in counters], buf.total, list(buf.history), buf.history_sum
 
 
@@ -395,6 +395,25 @@ def test_aging_only_at_due_ttis_changes_nothing(ops, voice_deadline, video_deadl
         assert _buffer_state(gated) == _buffer_state(every), f"TTI {tti}"
         if drain is not None:
             assert drain(gated, grant, tti) == drain(every, grant, tti)
+
+
+@pytest.mark.parametrize("drain", [strict_priority_drain, flip_drain])
+def test_delivered_pkts_counts_what_send_returns(drain):
+    # per class, the ledger's delivered count is the number of (cls, size,
+    # delay) tuples the drains returned, fragments left queued included
+    rng = np.random.default_rng(8)
+    buf = UeBuffer(capacity=4000)
+    want = {VOICE: 0, VIDEO: 0, DATA: 0}
+    fragmented = 0
+    for tti in range(400):
+        buf.enqueue([make_packet(cls, int(rng.integers(1, 400)), tti)
+                     for cls in rng.choice([VOICE, VIDEO, DATA], size=int(rng.integers(0, 4)))])
+        buf.age_and_drop(tti)
+        for cls, _size, _delay in drain(buf, int(rng.integers(0, 700)), tti):
+            want[cls] += 1
+        fragmented += any(p.remaining < p.size for q in buf.queues.values() for p in q)
+        assert buf.delivered_pkts == want, f"TTI {tti}"
+    assert fragmented and all(want.values())
 
 
 def test_conservation_fails_when_total_disagrees_with_the_queues():

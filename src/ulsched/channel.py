@@ -35,7 +35,6 @@ def _default_cqi_thresholds():
 @dataclass(frozen=True)
 class ChannelConfig:
     inter_site_distance_m: float = 500.0
-    n_prb_total: int = 50
     n_prb_data: int = 48
     prb_per_rc: int = 6
     p_max_dbm: float = 24.0

@@ -11,8 +11,11 @@ purpose, so adding a UE never perturbs the draws of the others.
 import json
 import math
 import numbers
+import operator
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -95,7 +98,7 @@ class ScenarioConfig:
             unknown = set(chan) - {f for f in ChannelConfig.__dataclass_fields__}
             if unknown:
                 raise ConfigError(f"unknown channel key: {sorted(unknown)[0]}")
-            if "cqi_thresholds_db" in chan:
+            if isinstance(chan.get("cqi_thresholds_db"), list):
                 chan["cqi_thresholds_db"] = tuple(chan["cqi_thresholds_db"])
             chan = ChannelConfig(**chan)
         known = set(cls.__dataclass_fields__)
@@ -117,26 +120,16 @@ class ScenarioConfig:
         return out
 
 
-_INT_KEYS = ("seed", "tti_count", "n_ues", "buffer_capacity", "buffer_threshold",
-             "voice_deadline_ms", "video_deadline_ms", "history_window")
-_CHANNEL_INT_KEYS = ("n_prb_total", "n_prb_data", "prb_per_rc")
-_CHANNEL_REAL_KEYS = tuple(f for f in ChannelConfig.__dataclass_fields__
-                           if f not in _CHANNEL_INT_KEYS + ("fast_fading", "cqi_thresholds_db"))
-# each source parameter's range, as a test of (value, its section) and in words
-_PARAM_RANGES = {
-    **dict.fromkeys(("packet_bytes", "sid_bytes", "packets_per_frame", "payload_min"),
-                    (lambda v, p: v >= 1, "at least 1")),
-    **dict.fromkeys(("min_frame_bytes", "n_sources"), (lambda v, p: v >= 0, "nonnegative")),
-    **dict.fromkeys(("sid_interval_ms", "size_scale", "ia_scale_ms", "source_rate_bps",
-                     "on_mean_ms"), (lambda v, p: v > 0, "positive")),
-    **dict.fromkeys(("size_shape", "ia_shape", "on_shape", "off_shape", "cap_factor"),
-                    (lambda v, p: v > 1, "above 1")),
-    **dict.fromkeys(("talk_mean_ms", "silence_mean_ms"),
-                    (lambda v, p: v == 0 or v >= 1, "0 (a state never left) or at least 1")),
-    "size_max": (lambda v, p: v > p["size_scale"], "above size_scale"),
-    "ia_max_ms": (lambda v, p: v > p["ia_scale_ms"], "above ia_scale_ms"),
-    "payload_max": (lambda v, p: v >= p["payload_min"], "at least payload_min"),
-}
+_ABSENT = object()
+
+
+def _get(cfg: ScenarioConfig, key: str):
+    """The value at a dotted key; _ABSENT for an entry its mapping omits."""
+    head, _, name = key.partition(".")
+    section = getattr(cfg, head)
+    if not name:
+        return section
+    return getattr(section, name) if head == "channel" else section.get(name, _ABSENT)
 
 
 def _is_int(value) -> bool:
@@ -147,112 +140,116 @@ def _is_real(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
 
 
-def _expect(key, value, ok, what) -> None:
-    if not ok(value):
-        raise ConfigError(f"{key} must be {what}, got {value!r}")
+def _number(is_type, noun, op=None, bound=None):
+    """(test, what) of a number of one type and, given op, `value op bound`;
+    a str bound is the dotted key of an earlier row."""
+    if op is None:
+        return lambda v, cfg: is_type(v), noun
+    cmp = {">=": operator.ge, ">": operator.gt}[op]
+    at = (lambda cfg: _get(cfg, bound)) if isinstance(bound, str) else (lambda cfg: bound)
+    return lambda v, cfg: is_type(v) and cmp(v, at(cfg)), f"{noun} {op} {bound}"
 
 
-def _check_types(cfg: ScenarioConfig) -> None:
-    """Integer keys hold integers, number keys finite real numbers (a bool
-    is neither) and flags bools: JSON 40.0, "24", NaN or "false" would
-    otherwise fail or hang mid-run, be truncated or be read as true."""
-    ch = cfg.channel
-    _expect("channel", ch, lambda v: isinstance(v, ChannelConfig), "a mapping of channel keys")
-    for key in ("loads_mbps", "voice_params", "video_params", "data_params", "sweep"):
-        _expect(key, getattr(cfg, key), lambda v: isinstance(v, dict), "a mapping")
-    for key in _INT_KEYS:
-        _expect(key, getattr(cfg, key), _is_int, "an integer")
-    for key in _CHANNEL_INT_KEYS:
-        _expect(f"channel.{key}", getattr(ch, key), _is_int, "an integer")
-    reals = [("ppp_intensity_per_km2", cfg.ppp_intensity_per_km2)]
-    reals += [(f"loads_mbps.{cls}", value) for cls, value in cfg.loads_mbps.items()]
-    reals += [(f"channel.{key}", getattr(ch, key)) for key in _CHANNEL_REAL_KEYS]
-    reals += [("channel.cqi_thresholds_db", value) for value in ch.cqi_thresholds_db]
-    for key, value in reals:
-        _expect(key, value, _is_real, "a finite real number")
-    for key, value in (("channel.fast_fading", ch.fast_fading), ("keep_trace", cfg.keep_trace)):
-        _expect(key, value, lambda v: isinstance(v, (bool, np.bool_)), "true or false")
+_int = partial(_number, _is_int, "an integer")
+_real = partial(_number, _is_real, "a finite real number")
+
+
+def _one_of(choices):
+    return lambda v, cfg: isinstance(v, str) and v in choices, "|".join(choices)
+
+
+def _list_of(ok, what):
+    return (lambda v, cfg: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(ok, v)),
+            f"a non-empty list of {what}")
+
+
+_MAPPING = (lambda v, cfg: isinstance(v, dict), "a mapping")
+_FLAG = (lambda v, cfg: isinstance(v, (bool, np.bool_)), "true or false")
+_PATH = (lambda v, cfg: v is None or isinstance(v, (str, os.PathLike)) and len(os.fspath(v)) > 0,
+         "null or a non-empty path")
+
+# One row per configuration key, in check order: (dotted key, test(value,
+# cfg), what the value must be). Each test checks the type and the range
+# together. A cross-key test reads only keys whose rows come earlier, so
+# their values are already valid; a mapping's row precedes its entries'.
+_RULES = (
+    ("policy", *_one_of(POLICIES)),
+    ("ue_policy", *_one_of(("strict", "flip"))),
+    ("ue_mode", *_one_of(("fixed", "ppp"))),
+    *((key, *_int(">=", 0)) for key in ("seed", "n_ues")),
+    *((key, *_int(">=", 1)) for key in ("tti_count", "buffer_capacity", "voice_deadline_ms",
+                                        "video_deadline_ms", "history_window")),
+    ("buffer_threshold", lambda v, cfg: _is_int(v) and 0 <= v < cfg.buffer_capacity,
+     "an integer >= 0 and < buffer_capacity"),
+    ("ppp_intensity_per_km2", *_real(">", 0)),
+    ("loads_mbps", *_MAPPING),
+    *((f"loads_mbps.{cls}", *_real(">=", 0)) for cls in CLASSES),
+    ("channel", lambda v, cfg: isinstance(v, ChannelConfig), "a mapping of channel keys"),
+    ("channel.prb_per_rc", *_int(">=", 1)),
+    ("channel.n_prb_data",
+     lambda v, cfg: _is_int(v) and v >= 1 and v % cfg.channel.prb_per_rc == 0,
+     "a positive multiple of channel.prb_per_rc"),
+    *((f"channel.{key}", *_real()) for key in ("p_max_dbm", "p_o_dbm", "penetration_loss_db",
+                                               "noise_figure_db", "thermal_noise_dbm_hz")),
+    ("channel.alpha_pc", lambda v, cfg: _is_real(v) and 0 < v <= 1, "a real number in (0, 1]"),
+    ("channel.shadowing_sigma_db", *_real(">=", 0)),
+    ("channel.min_ue_distance_m", *_real(">", 0)),
+    ("channel.inter_site_distance_m",
+     lambda v, cfg: _is_real(v) and cfg.channel.cell_radius_m >= cfg.channel.min_ue_distance_m,
+     "a finite real number whose cell radius ISD/sqrt(3) is >= channel.min_ue_distance_m"),
+    ("channel.fast_fading", *_FLAG),
+    ("channel.cqi_thresholds_db",
+     lambda v, cfg: (isinstance(v, (list, tuple)) and len(v) == 15
+                     and all(map(_is_real, v)) and list(v) == sorted(v)),
+     "15 nondecreasing finite real numbers"),
+    *((key, *_MAPPING) for key in ("voice_params", "video_params", "data_params")),
+    *((key, *_int(">=", 1)) for key in ("voice_params.packet_bytes", "voice_params.sid_bytes",
+                                        "video_params.packets_per_frame",
+                                        "data_params.payload_min")),
+    *((key, *_int(">=", 0)) for key in ("video_params.min_frame_bytes", "data_params.n_sources")),
+    *((key, *_real(">", 0)) for key in ("voice_params.sid_interval_ms", "video_params.size_scale",
+                                        "video_params.ia_scale_ms", "data_params.source_rate_bps",
+                                        "data_params.on_mean_ms")),
+    *((key, *_real(">", 1)) for key in ("video_params.size_shape", "video_params.ia_shape",
+                                        "data_params.on_shape", "data_params.off_shape",
+                                        "data_params.cap_factor")),
+    *((key, lambda v, cfg: _is_real(v) and (v == 0 or v >= 1),
+       "0 (a state never left) or a finite real number >= 1")
+      for key in ("voice_params.talk_mean_ms", "voice_params.silence_mean_ms")),
+    ("video_params.size_max", *_real(">", "video_params.size_scale")),
+    ("video_params.ia_max_ms", *_real(">", "video_params.ia_scale_ms")),
+    ("data_params.payload_max", *_int(">=", "data_params.payload_min")),
+    *((key, *_PATH) for key in ("cqi_trace", "arrival_trace")),
+    ("keep_trace", *_FLAG),
+    ("sweep", *_MAPPING),
+    ("sweep.vary", *_one_of(CLASSES)),
+    ("sweep.points_mbps", *_list_of(lambda x: _is_real(x) and x >= 0, "finite real numbers >= 0")),
+    ("sweep.seeds", *_list_of(lambda x: _is_int(x) and x >= 0, "integers >= 0")),
+)
+# the keys each mapping section may hold: the names of its entries' rows
+_SECTION_KEYS = {head: {k.partition(".")[2] for k, _, _ in _RULES if k.startswith(head + ".")}
+                 for head in ("loads_mbps", "voice_params", "video_params", "data_params",
+                              "sweep")}
 
 
 def validate(cfg: ScenarioConfig) -> None:
     """Reject invalid scenarios before TTI 0; error messages name the
-    offending configuration key."""
-    _check_types(cfg)
-    if cfg.policy not in POLICIES:
-        raise ConfigError(f"policy must be {'|'.join(POLICIES)}, got {cfg.policy!r}")
-    if cfg.ue_policy not in ("strict", "flip"):
-        raise ConfigError(f"ue_policy must be strict|flip, got {cfg.ue_policy!r}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
-    if cfg.tti_count < 1:
-        raise ConfigError("tti_count must be at least 1")
-    if cfg.ue_mode not in ("fixed", "ppp"):
-        raise ConfigError(f"ue_mode must be fixed|ppp, got {cfg.ue_mode!r}")
-    if cfg.ue_mode == "fixed" and cfg.n_ues < 0:
-        raise ConfigError("n_ues must be nonnegative")
-    if cfg.ue_mode == "ppp" and cfg.ppp_intensity_per_km2 <= 0:
-        raise ConfigError("ppp_intensity_per_km2 must be positive")
-    unknown_cls = set(cfg.loads_mbps) - set(CLASSES)
-    if unknown_cls:
-        raise ConfigError(f"loads_mbps.{sorted(unknown_cls)[0]} is not a traffic class")
-    for cls in CLASSES:
-        if cfg.loads_mbps.get(cls, 0.0) < 0:
-            raise ConfigError(f"loads_mbps.{cls} must be nonnegative")
-    if cfg.buffer_capacity <= 0:
-        raise ConfigError("buffer_capacity must be positive")
-    if not 0 <= cfg.buffer_threshold < cfg.buffer_capacity:
-        raise ConfigError("buffer_threshold must be nonnegative and below buffer_capacity")
-    ch = cfg.channel
-    if not 0 < ch.alpha_pc <= 1:
-        raise ConfigError("channel.alpha_pc must lie in (0, 1]")
-    if ch.prb_per_rc <= 0 or ch.n_prb_data % ch.prb_per_rc != 0:
-        raise ConfigError("channel.n_prb_data must be a multiple of channel.prb_per_rc")
-    if ch.n_prb_data < ch.prb_per_rc:
-        raise ConfigError("channel.n_prb_data must hold at least one chunk of "
-                          "channel.prb_per_rc PRBs")
-    if ch.n_prb_data > ch.n_prb_total:
-        raise ConfigError("channel.n_prb_data cannot exceed channel.n_prb_total")
-    if ch.shadowing_sigma_db < 0:
-        raise ConfigError("channel.shadowing_sigma_db must be nonnegative")
-    if ch.min_ue_distance_m <= 0:
-        raise ConfigError("channel.min_ue_distance_m must be positive")
-    if ch.cell_radius_m < ch.min_ue_distance_m:
-        raise ConfigError(f"channel.inter_site_distance_m = {ch.inter_site_distance_m} m gives a "
-                          f"cell radius (ISD/sqrt(3)) of {ch.cell_radius_m:.1f} m, below "
-                          f"channel.min_ue_distance_m = {ch.min_ue_distance_m} m")
-    if len(ch.cqi_thresholds_db) != 15 or list(ch.cqi_thresholds_db) != sorted(ch.cqi_thresholds_db):
-        raise ConfigError("channel.cqi_thresholds_db must be 15 nondecreasing values")
-    for key, default in (("voice_params", _default_voice_params),
-                         ("video_params", _default_video_params),
-                         ("data_params", _default_data_params)):
-        given, known = getattr(cfg, key), default()
-        bad = sorted(set(given) ^ set(known))
-        if bad:
-            what = "is not a known key" if bad[0] in given else "is missing"
-            raise ConfigError(f"{key}.{bad[0]} {what}")
-        for name, value in given.items():  # a key takes the type of its default
-            if _is_int(known[name]):
-                _expect(f"{key}.{name}", value, _is_int, "an integer")
-            else:
-                _expect(f"{key}.{name}", value, _is_real, "a finite real number")
-        for name, value in given.items():
-            in_range, what = _PARAM_RANGES[name]
-            _expect(f"{key}.{name}", value, lambda v: in_range(v, given), what)
-    if cfg.history_window < 1:
-        raise ConfigError("history_window must be at least 1")
-    for key in ("voice_deadline_ms", "video_deadline_ms"):
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"{key} must be at least 1")
-    sw = cfg.sweep  # the keys `sweep` reads, and nothing else: a typo is not ignored
-    bad = sorted(set(sw) - {"vary", "points_mbps", "seeds"})
-    if bad:
-        raise ConfigError(f"sweep.{bad[0]} is not a known key")
-    _expect("sweep.vary", sw.get("vary", VOICE), lambda v: v in CLASSES, "|".join(CLASSES))
-    for key, ok, what in (("points_mbps", lambda v: _is_real(v) and v >= 0, "finite numbers >= 0"),
-                          ("seeds", lambda v: _is_int(v) and v >= 0, "integers >= 0")):
-        _expect(f"sweep.{key}", sw.get(key, []), lambda v: isinstance(v, (list, tuple)), "a list")
-        for value in sw.get(key, []):
-            _expect(f"sweep.{key}", value, ok, f"a list of {what}")
+    offending configuration key. A mapping section may hold only the keys
+    of its rows, and each `*_params` section must hold all of them."""
+    for section, known in _SECTION_KEYS.items():
+        given = getattr(cfg, section)
+        if not isinstance(given, dict):
+            continue  # its own row rejects it
+        unknown = sorted(set(given) - known, key=str)
+        if unknown:
+            raise ConfigError(f"{section}.{unknown[0]} is not a known key")
+        missing = sorted(known - set(given)) if section.endswith("_params") else ()
+        if missing:
+            raise ConfigError(f"{section}.{missing[0]} is missing")
+    for key, ok, what in _RULES:
+        value = _get(cfg, key)
+        if value is not _ABSENT and not ok(value, cfg):
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
     if cfg.ue_mode == "fixed":
         _check_voice_floor(cfg, cfg.n_ues)
 

@@ -66,6 +66,30 @@ def test_validate_bad_config_names_key(tmp_path, capsys):
     assert "buffer_threshold" in capsys.readouterr().err
 
 
+def test_validate_rejects_empty_sweep_lists(tmp_path, capsys):
+    # `validate` passed an empty list that `sweep` then rejected
+    from ulsched.engine import ConfigError, ScenarioConfig, validate
+    for sweep, key in (({"points_mbps": [1.0], "seeds": []}, "sweep.seeds"),
+                       ({"points_mbps": []}, "sweep.points_mbps")):
+        d = {"tti_count": 20, "n_ues": 2, "sweep": sweep}
+        with pytest.raises(ConfigError, match=f"^{key} must be a non-empty list"):
+            validate(ScenarioConfig.from_dict(d))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(d))
+        assert main(["validate", "--config", str(cfg)]) == 1
+        assert f"error: {key} must be" in capsys.readouterr().err
+
+
+def test_run_names_a_cqi_trace_that_is_not_a_path(tmp_path, capsys):
+    # `true` passed validate, then run() opened and closed fd 1 (stdout)
+    # and exited through an OSError traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tti_count": 5, "n_ues": 2, "cqi_trace": True}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "error: cqi_trace must be null or a non-empty path" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # rejected before anything ran
+
+
 def test_run_writes_csv_and_is_repeatable(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -266,6 +266,77 @@ def test_validate_rejects_nonpositive_min_ue_distance():
     validate(replace(cfg, channel=ChannelConfig(min_ue_distance_m=1.0)))
 
 
+def _config_keys():
+    """Every dotted key a scenario config can set."""
+    default = ScenarioConfig().to_dict()
+    keys = list(default)
+    for head in ("channel", "voice_params", "video_params", "data_params"):
+        keys += [f"{head}.{name}" for name in default[head]]
+    keys += [f"loads_mbps.{cls}" for cls in (VOICE, VIDEO, DATA)]
+    keys += [f"sweep.{name}" for name in ("vary", "points_mbps", "seeds")]  # what sweep reads
+    return keys
+
+
+def test_every_config_key_has_one_rule():
+    from ulsched.engine import _RULES
+    assert sorted(key for key, _, _ in _RULES) == sorted(_config_keys())
+
+
+@pytest.mark.parametrize("key", _config_keys())
+def test_no_config_key_escapes_validation(key):
+    # "cqi_trace": true passed validate, and run() then opened fd 1 (stdout)
+    # and failed with OSError after closing it; arrival_trace the same
+    base = ScenarioConfig(policy="darts", n_ues=2, tti_count=5)
+    default = base.to_dict()
+    head, _, name = key.partition(".")
+    current = default[head].get(name) if name else default[head]
+    bad = "yes" if isinstance(current, bool) else True  # a string for flags, else a bool
+    if head == "channel" and name:
+        cfg = replace(base, channel=replace(base.channel, **{name: bad}))
+    elif name:
+        cfg = replace(base, **{head: {**getattr(base, head), name: bad}})
+    else:
+        cfg = replace(base, **{head: bad})
+    for check in (validate, run):
+        with pytest.raises(ConfigError) as err:
+            check(cfg)
+        assert str(err.value).startswith(f"{key} must be "), str(err.value)
+
+
+def test_trace_keys_are_null_or_a_non_empty_path(tmp_path):
+    # 0 and "" ran the channel model and generators instead of a replay;
+    # 5 failed with a bare OSError and ["a"] with a TypeError naming no key
+    cfg = ScenarioConfig(policy="darts", n_ues=2, tti_count=5)
+    for key in ("cqi_trace", "arrival_trace"):
+        for value in (0, "", 5, ["a"], b"x"):
+            with pytest.raises(ConfigError) as err:
+                run(replace(cfg, **{key: value}))
+            assert str(err.value).startswith(f"{key} must be null or a non-empty path")
+        validate(replace(cfg, **{key: tmp_path / "trace.txt"}))
+
+
+def test_n_prb_total_is_not_a_channel_key():
+    # it was read by nothing but validate: a darts run with n_prb_total 1000
+    # gave the default's mac_mbps and jain
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig.from_dict({"channel": {"n_prb_total": 50}})
+    assert "unknown channel key: n_prb_total" in str(err.value)
+
+
+def test_readme_config_block_is_a_valid_config():
+    import json
+    from pathlib import Path
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text[text.index("## Scenario config"):]
+    block = section[section.index("```json") + len("```json"):]
+    d = json.loads(block[:block.index("```")])
+    validate(ScenarioConfig.from_dict(d))
+    default = ScenarioConfig().to_dict()
+    assert set(d) <= set(default)
+    for head in ("loads_mbps", "channel", "voice_params", "video_params", "data_params"):
+        assert set(d.get(head, {})) <= set(default[head]), head
+
+
 def test_short_cqi_trace_is_rejected_before_tti_0(tmp_path):
     trace = tmp_path / "cqi.txt"
     n_rc = ScenarioConfig().channel.rc_count

@@ -127,6 +127,24 @@ def _lexi_cascade(tight, may_exit, row_of_col, rows):
     first one whose holder an alternating path re-homes (home); the row's
     slot is then locked, and later rows are left as they fall. Returns
     col_of_row with -1 for unmatched rows.
+
+    A row builds `seen` once, not once per try, so each column is searched
+    at most once per row (O(E) per row, not O(m E)). This finds the same
+    paths as resetting `seen` before every try, for four reasons:
+    - a failed try applies no moves, so the matching, `cur` and `locked`
+      stay as they were for the row's later tries;
+    - when home(h, cur) fails, every tight column of h is seen, h is not
+      tight on cur, and the exit slot, if h may take it, failed too; so
+      from any column seen in a failed try every alternating path stays
+      inside seen or locked columns and never succeeds;
+    - the exit slot's refill test reads only i, `old` (= cur) and the
+      unchanged matching, never the path that reached it, so an exit that
+      failed once fails on every later try of the row; this is the step a
+      refill that searches paths (home(x, old), ROADMAP item 1) must
+      re-check;
+    - a per-try search would enter such dead columns and fail there,
+      marking only columns that are already dead, so skipping them leaves
+      the order and the first successful path unchanged.
     """
     m, n = len(tight), len(may_exit)
     col_of_row = [-1] * n
@@ -160,13 +178,13 @@ def _lexi_cascade(tight, may_exit, row_of_col, rows):
 
     for i in range(rows):
         cur = col_of_row[i]
+        seen = locked.copy()
+        if cur >= 0:
+            seen[cur] = True
         for c in range(cur if cur >= 0 else m):
-            if locked[c] or not tight[c][i]:
+            if seen[c] or not tight[c][i]:
                 continue
-            seen = locked.copy()
             seen[c] = True
-            if cur >= 0:
-                seen[cur] = True
             moves = [(i, c)]
             if home(row_of_col[c], cur):
                 for r, s in moves:

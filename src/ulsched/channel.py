@@ -15,6 +15,7 @@ yields the same values as N smaller draws in turn. A replayed trace
 """
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,7 +176,29 @@ def interference_block_dbm(topo: Topology, cfg: ChannelConfig, rng, draws) -> np
 
 def load_cqi_trace(path, n_ue: int, n_rc: int) -> np.ndarray:
     """Read a CQI trace: one line per TTI, whitespace-separated ints,
-    row-major (UE-major, RC-minor). Returns (n_tti, n_ue, n_rc)."""
+    row-major (UE-major, RC-minor). Returns (n_tti, n_ue, n_rc).
+
+    numpy parses the file in one pass; a file it rejects, or whose shape or
+    values fail the checks, is re-read by `_read_cqi_lines`, which names the
+    first bad `path:line` and alone accepts the digits only Python's int()
+    reads (`0_7`, non-ASCII digits), so both paths accept the same files as
+    the same arrays. loadtxt gets an open handle, not the path: from a path
+    it would silently decompress a .gz, .bz2 or .xz file.
+    """
+    with open(path) as fh, warnings.catch_warnings():
+        warnings.simplefilter("error")  # an empty file only warns
+        try:
+            flat = np.loadtxt(fh, dtype=np.int64, ndmin=2, comments=None)
+        except (ValueError, Warning):
+            flat = None
+    if (flat is None or flat.shape[1] != n_ue * n_rc or not len(flat)
+            or flat.min() < 1 or flat.max() > 15):
+        return _read_cqi_lines(path, n_ue, n_rc)
+    return flat.reshape(-1, n_ue, n_rc)
+
+
+def _read_cqi_lines(path, n_ue, n_rc):
+    """The line-by-line reader: raises ChannelError naming `path:line`."""
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):

@@ -13,6 +13,7 @@ import math
 import numbers
 import operator
 import os
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -92,6 +93,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
+        if not isinstance(d, Mapping):
+            raise ConfigError(f"config must be a mapping, got {type(d).__name__}")
         d = dict(d)
         chan = d.pop("channel", {})
         if isinstance(chan, dict):
@@ -109,8 +112,15 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, path) -> "ScenarioConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path) as fh:
+                d = json.load(fh)
+        except (OSError, ValueError) as err:  # unreadable, undecodable or not JSON
+            raise ConfigError(f"config {path} cannot be read as JSON: {err}") from None
+        if not isinstance(d, dict):
+            raise ConfigError(f"config {path} must hold a JSON object, "
+                              f"got {type(d).__name__}")
+        return cls.from_dict(d)
 
     def to_dict(self) -> dict:
         out = {f: getattr(self, f) for f in self.__dataclass_fields__ if f != "channel"}
@@ -331,12 +341,14 @@ def _build_sources(cfg: ScenarioConfig, n_ues: int):
 
 
 def _read_trace(key, load, path, *shape):
-    """load(path, *shape); a file that cannot be opened or read is a
+    """load(path, *shape); a file that cannot be opened, read or decoded is a
     ConfigError naming the config key."""
     try:
         return load(path, *shape)
     except OSError as err:
         raise ConfigError(f"{key} cannot be read: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{key} cannot be read: {path}: {err}") from None
 
 
 def run(cfg: ScenarioConfig) -> MetricsSummary:

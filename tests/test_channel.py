@@ -1,6 +1,10 @@
 """Channel model tests: path loss, power control, SINR composition, CQI
 mapping, grid realization, trace fixtures."""
 
+import bz2
+import gzip
+import lzma
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -249,3 +253,98 @@ def test_cqi_trace_validation(tmp_path):
     bad.write_text("7 7 7\n7 7 x\n")
     with pytest.raises(ChannelError, match=f"{bad}:2: .*'x'"):
         load_cqi_trace(bad, n_ue=3, n_rc=1)
+
+# Tokens mostly in range, with the signs, separators and digits on which
+# numpy's parser and Python's int() could disagree; `_read_cqi_lines` is the
+# reference load_cqi_trace must match.
+_TOKEN = st.one_of(st.integers(1, 15).map(str), st.integers(-2, 20).map(str),
+                   st.text("0123456789+-_.x#٧", min_size=1, max_size=3))
+_BLANK = " \t\x0c"
+
+
+@st.composite
+def _trace_texts(draw):
+    n = draw(st.integers(1, 6))
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        tokens = draw(st.lists(_TOKEN, min_size=n, max_size=n) | st.lists(_TOKEN, max_size=7))
+        body = "".join(draw(st.text(_BLANK, min_size=1, max_size=2)) + t if i else t
+                       for i, t in enumerate(tokens))
+        lines.append(draw(st.text(_BLANK, max_size=2)) + body + draw(st.text(_BLANK, max_size=2)))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return n, eol.join(lines) + draw(st.sampled_from(["", eol, eol * 2]))
+
+
+def _load_outcome(load, path, n_ue, n_rc):
+    try:
+        return load(path, n_ue, n_rc)
+    except ChannelError as err:
+        return str(err)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_trace_texts(), split=st.booleans())
+@example(case=(2, "7 0_7\n"), split=False)
+@example(case=(2, "٧ 7\n"), split=False)
+@example(case=(3, "7 7 7\n\n\n7 x 7\n"), split=True)
+@example(case=(2, "7 7\n# 7 7\n7 7 # 7\n"), split=False)
+def test_cqi_trace_fast_path_agrees_with_the_line_reader(tmp_path_factory, case, split):
+    n, text = case
+    n_ue, n_rc = (n, 1) if split else (1, n)
+    path = tmp_path_factory.mktemp("trace") / "cqi.txt"
+    path.write_bytes(text.encode())
+    got = _load_outcome(load_cqi_trace, path, n_ue, n_rc)
+    want = _load_outcome(chan._read_cqi_lines, path, n_ue, n_rc)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_clean_cqi_trace_takes_the_fast_path(tmp_path, monkeypatch):
+    # a change that quietly sends every file down the line reader fails here
+    cfg = ChannelConfig(prb_per_rc=3)
+    topo = deploy(ScenarioConfig(seed=3, n_ues=12, channel=cfg), np.random.default_rng([3, 0]))
+    src = CqiSource(topo, cfg, *_rngs(3, 12))
+    grids = np.stack([src.grid(t) for t in range(3000)])
+    path = tmp_path / "cqi.txt"
+    path.write_text("".join(" ".join(map(str, g.ravel())) + "\n" for g in grids))
+
+    def no_line_reader(*args):
+        raise AssertionError("a clean trace reached the line reader")
+
+    monkeypatch.setattr(chan, "_read_cqi_lines", no_line_reader)
+    got = load_cqi_trace(path, n_ue=12, n_rc=cfg.rc_count)
+    assert got.shape == (3000, 12, 16) and np.array_equal(got, grids)
+
+
+def test_cqi_trace_errors_name_their_own_line(tmp_path):
+    path = tmp_path / "cqi.txt"
+    path.write_text("7 7\n\n\n7 7\n  \n7 7 7\n")
+    with pytest.raises(ChannelError, match=f"^{path}:6: expected 2 values, got 3$"):
+        load_cqi_trace(path, n_ue=2, n_rc=1)
+    for k in (1, 2, 5):
+        rows = ["7 7"] * 5
+        rows[k - 1] = "7 16"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ChannelError, match=f"^{path}:{k}: CQI values must be in 1..15$"):
+            load_cqi_trace(path, n_ue=1, n_rc=2)
+    path.write_text(" \n\t\n\x0c\n")
+    with pytest.raises(ChannelError, match=f"^{path}: empty CQI trace$"):
+        load_cqi_trace(path, n_ue=1, n_rc=2)
+
+
+@pytest.mark.parametrize("suffix", ["gz", "bz2", "xz"])
+def test_compressed_cqi_trace_is_not_decompressed(tmp_path, suffix):
+    text = b"7 7\n8 8\n" * 50
+    plain = tmp_path / "cqi.txt"
+    plain.write_bytes(text)
+    assert load_cqi_trace(plain, n_ue=1, n_rc=2).shape == (100, 1, 2)
+    packed = tmp_path / f"cqi.txt.{suffix}"
+    packed.write_bytes({"gz": gzip, "bz2": bz2, "xz": lzma}[suffix].compress(text))
+    with pytest.raises(ValueError) as want:
+        chan._read_cqi_lines(packed, 1, 2)
+    with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+        load_cqi_trace(packed, n_ue=1, n_rc=2)
+    if suffix == "gz":
+        assert type(want.value) is UnicodeDecodeError

@@ -101,6 +101,35 @@ def test_run_names_a_trace_that_cannot_be_read(tmp_path, capsys, key):
         assert f"error: {key} cannot be read: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["cqi_trace", "arrival_trace"])
+def test_run_names_a_trace_that_cannot_be_decoded(tmp_path, capsys, key):
+    # ended the run with only the codec's message, naming neither key nor path
+    trace = tmp_path / "trace.txt"
+    trace.write_bytes(b"\xff\xfe7 7\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tti_count": 5, "n_ues": 2, key: str(trace)}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert f"error: {key} cannot be read: {trace}: 'utf-8' codec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_config_file_that_is_not_a_json_object_is_named(tmp_path, capsys, command):
+    # a list or a number ended in a TypeError traceback, a directory in an
+    # IsADirectoryError traceback, and bad JSON in an error without the path
+    for name, content in (("list.json", b"[1, 2]"), ("number.json", b"5"),
+                          ("bad.json", b"{x: 1}"), ("bytes.json", b"\xff{}"),
+                          ("dir.json", None)):
+        cfg = tmp_path / name
+        if content is None:
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(content)
+        extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, "--config", str(cfg), *extra]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config {cfg} ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_writes_csv_and_is_repeatable(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

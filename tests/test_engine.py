@@ -125,6 +125,8 @@ def test_validate_rejects_bad_keys_and_values():
     with pytest.raises(ConfigError) as err:
         ScenarioConfig.from_dict({"channel": {"carrier_hz": 2e9}})
     assert "unknown channel key: carrier_hz" in str(err.value)
+    with pytest.raises(ConfigError, match="^config must be a mapping, got list$"):
+        ScenarioConfig.from_dict([["seed", 3]])  # dict() took the pairs
 
 
 def test_validate_rejects_deadlines_below_one_tti():

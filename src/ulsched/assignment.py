@@ -198,13 +198,13 @@ def _lexi_cascade(tight, may_exit, row_of_col, rows):
     return col_of_row
 
 
-def _row_max_greedy(r):
-    """Rows in order each take their lowest-indexed free column holding the
-    row's maximum. Returns (col_of_row, sum of the row maxima), or None as
-    soon as a row finds no such column (see solve)."""
-    tops = r.max(axis=1).tolist()
+def _row_max_greedy(rows):
+    """Rows (lists) in order each take their lowest-indexed free column
+    holding the row's maximum. Returns (col_of_row, sum of the row maxima),
+    or None as soon as a row finds no such column (see solve)."""
+    tops = list(map(max, rows))
     cols = []
-    for row, top in zip(r.tolist(), tops):
+    for row, top in zip(rows, tops):
         j = row.index(top)
         try:
             while j in cols:
@@ -268,40 +268,39 @@ def solve(rewards, penalty=None):
         raise AssignmentError(f"penalty vector must have length {n}, got shape {k.shape}")
     if n == 0 or m == 0:
         return [-1] * n, -int(k.sum())
-    if n <= m and (certified := _row_max_greedy(r)) is not None:
-        return certified
     if n > m:
         folded = r + k[:, None]
         # only rows reaching some column's m-th best can be matched in an optimum
         mth = np.partition(folded, n - m, axis=0)[n - m]
         keep = np.flatnonzero((folded >= mth).any(axis=1))
         folded = folded[keep]
-        cost = (folded.max(axis=0, keepdims=True) - folded).T  # (m, n'): columns take rows
-        row_of_col, u, v = _jv_min(cost.tolist(), m, len(keep))
+        top = folded.max(axis=0, keepdims=True)
+        cost = (top - folded).T  # (m, n'): columns take rows
+        cost_rows = cost.tolist()
+        row_of_col, u, v = _jv_min(cost_rows, m, len(keep))
         tight = (cost - np.array(u)[:, None] - np.array(v) == 0).tolist()
         kept = _lexi_cascade(tight, [x == 0 for x in v], row_of_col, len(keep))
         cols = [-1] * n
         for i, c in zip(keep.tolist(), kept):
             cols[i] = c
-    else:
-        cost = r.max(axis=1, keepdims=True) - r
-        col_of, u, v = _jv_min(cost.tolist(), n, m)
-        # dummy rows (cost 0, dual 0) are tight exactly where v = 0, a set
-        # that holds every column the real rows left free
-        row_of_col = [-1] * m
-        for i, c in enumerate(col_of):
-            row_of_col[c] = i
-        dummies = iter(range(n, m))
-        row_of_col = [i if i >= 0 else next(dummies) for i in row_of_col]
-        v = np.array(v)
-        tight = np.empty((m, m), bool)
-        tight[:, :n] = (cost - np.array(u)[:, None] - v == 0).T
-        tight[:, n:] = (v == 0)[:, None]
-        cols = _lexi_cascade(tight.tolist(), [False] * m, row_of_col, n)[:n]
-    idx = np.array(cols)
-    hit = idx >= 0
-    objective = int(r[hit, idx[hit]].sum() - k[~hit].sum())
-    return cols, objective
+        # every column is held: sum(top) - the held costs = matched r + matched k
+        held = sum(cost_rows[c][j] for j, c in enumerate(kept) if c >= 0)
+        return cols, int(top.sum()) - held - int(k.sum())
+    rows = r.tolist()
+    if (certified := _row_max_greedy(rows)) is not None:
+        return certified
+    cost = r.max(axis=1, keepdims=True) - r
+    col_of, u, v = _jv_min(cost.tolist(), n, m)
+    # dummy rows (cost 0, dual 0) are tight exactly where v = 0, a set
+    # that holds every column the real rows left free
+    dummies = iter(range(n, m))
+    row_of_col = [col_of.index(c) if c in col_of else next(dummies) for c in range(m)]
+    v = np.array(v)
+    tight = np.empty((m, m), bool)
+    tight[:, :n] = (cost - np.array(u)[:, None] - v == 0).T
+    tight[:, n:] = (v == 0)[:, None]
+    cols = _lexi_cascade(tight.tolist(), [False] * m, row_of_col, n)[:n]
+    return cols, sum(row[c] for row, c in zip(rows, cols))
 
 
 # ---------------------------------------------------------------------------

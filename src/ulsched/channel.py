@@ -176,19 +176,19 @@ def interference_block_dbm(topo: Topology, cfg: ChannelConfig, rng, draws) -> np
 
 def load_cqi_trace(path, n_ue: int, n_rc: int) -> np.ndarray:
     """Read a CQI trace: one line per TTI, whitespace-separated ints,
-    row-major (UE-major, RC-minor). Returns (n_tti, n_ue, n_rc).
+    row-major (UE-major, RC-minor). Returns int8 CQIs, (n_tti, n_ue, n_rc).
 
-    numpy parses the file in one pass; a file it rejects, or whose shape or
-    values fail the checks, is re-read by `_read_cqi_lines`, which names the
-    first bad `path:line` and alone accepts the digits only Python's int()
-    reads (`0_7`, non-ASCII digits), so both paths accept the same files as
-    the same arrays. loadtxt gets an open handle, not the path: from a path
-    it would silently decompress a .gz, .bz2 or .xz file.
+    numpy parses the file in one pass; a file it rejects (an int8 overflow
+    such as `300` included), or whose shape or values fail the checks, is
+    re-read by `_read_cqi_lines`, which names the first bad `path:line` and
+    alone reads the digits only int() accepts (`0_7`, non-ASCII digits), so
+    both paths accept the same files as the same arrays. loadtxt reads an
+    open handle: from a path it would decompress a .gz, .bz2 or .xz file.
     """
     with open(path) as fh, warnings.catch_warnings():
         warnings.simplefilter("error")  # an empty file only warns
         try:
-            flat = np.loadtxt(fh, dtype=np.int64, ndmin=2, comments=None)
+            flat = np.loadtxt(fh, dtype=np.int8, ndmin=2, comments=None)
         except (ValueError, Warning):
             flat = None
     if (flat is None or flat.shape[1] != n_ue * n_rc or not len(flat)
@@ -209,12 +209,12 @@ def _read_cqi_lines(path, n_ue, n_rc):
                 raise ChannelError(
                     f"{path}:{lineno}: expected {n_ue * n_rc} values, got {len(parts)}")
             try:
-                vals = np.array([int(p) for p in parts], dtype=np.int64)
+                vals = [int(p) for p in parts]
             except ValueError as err:
                 raise ChannelError(f"{path}:{lineno}: {err}") from None
-            if np.any((vals < 1) | (vals > 15)):
+            if not all(1 <= v <= 15 for v in vals):
                 raise ChannelError(f"{path}:{lineno}: CQI values must be in 1..15")
-            rows.append(vals.reshape(n_ue, n_rc))
+            rows.append(np.array(vals, dtype=np.int8).reshape(n_ue, n_rc))
     if not rows:
         raise ChannelError(f"{path}: empty CQI trace")
     return np.stack(rows)

@@ -88,48 +88,48 @@ def _k_vector(k, n_ues):
 
 def schedule_iterative_surplus(W: TrafficMatrixW, k=None) -> SchedulerDecision:
     """Surplus-resource regime (n_ue < n_rc): repeat single-RC assignment
-    rounds over the UEs that still hold data, rebuilding w from the depleted
-    buffers, until every RC is granted or all buffers empty; each round
-    takes at least one RC. The drop matrix is omitted; k shrinks by the
-    bytes granted (floor zero). A round with fewer active users than
-    remaining RCs is solved on the real users alone; the zero-buffer dummy
-    users that would square it only enter solve through their implied duals.
+    rounds over the UEs that still hold data until every RC is granted or
+    all buffers empty; each round takes at least one RC. Round 1 solves
+    W.w's rows, later rounds min(p, the bytes left) on the UEs and RCs still
+    in play. The drop matrix is omitted; k shrinks by the bytes granted
+    (floor zero). A round with fewer active users than remaining RCs is
+    solved on the real users alone; the zero-buffer dummy users that would
+    square it only enter solve through their implied duals.
     """
     n, m = W.n_ues, W.n_rcs
     k = _k_vector(k, n).tolist()
     b = W.b.tolist()
+    first = (W.b > 0).nonzero()[0]
+    active = first.tolist()
     remaining = list(range(m))
     grants = [0] * n
     ue_rcs = [[] for _ in range(n)]
     rc_to_ue = [None] * m
-    while remaining:
-        b_now = np.array(b, dtype=np.int64)
-        active = np.flatnonzero(b_now > 0)
-        if not len(active):
-            break
-        w_round = np.minimum(W.p[active][:, remaining], b_now[active, None])
-        cols, _obj = solve(w_round, [k[ue] for ue in active.tolist()])
-        taken = set()
-        for ue, c, row in zip(active.tolist(), cols, w_round.tolist()):
+    w_round = W.w.take(first, 0)    # w = min(p, b) is round 1's matrix
+    while active and remaining:
+        cols, _obj = solve(w_round, [k[ue] for ue in active])
+        for ue, c, row in zip(active, cols, w_round.tolist()):
             got = row[c] if c >= 0 else 0
             if got <= 0:
                 continue
             rc = remaining[c]
-            taken.add(rc)
             rc_to_ue[rc] = ue
             ue_rcs[ue].append(rc)
             grants[ue] += got
             b[ue] -= got
             k[ue] = max(0, k[ue] - got)
-        if not taken:
+        left = [rc for rc in remaining if rc_to_ue[rc] is None]
+        if len(left) == len(remaining):
             break
-        remaining = [rc for rc in remaining if rc not in taken]
+        remaining = left
+        active = [ue for ue in active if b[ue] > 0]
+        if active and remaining:
+            w_round = np.minimum(W.p.take(active, 0).take(remaining, 1),
+                                 np.array([b[ue] for ue in active])[:, None])
     # a UE granted nothing still holds its starting buffer
-    unscheduled_k = sum(k[i] for i in range(n) if b[i] > 0 and not ue_rcs[i])
-    return SchedulerDecision(rc_to_ue=tuple(rc_to_ue),
-                             ue_rcs=tuple(tuple(x) for x in ue_rcs),
-                             grants=np.array(grants, dtype=np.int64),
-                             objective=int(sum(grants) - unscheduled_k))
+    unscheduled_k = sum(k[ue] for ue in first.tolist() if not ue_rcs[ue])
+    return SchedulerDecision(tuple(rc_to_ue), tuple(map(tuple, ue_rcs)),
+                             np.array(grants, dtype=np.int64), int(sum(grants) - unscheduled_k))
 
 
 POLICIES = ("dham", "darts", "dafs")
@@ -154,21 +154,21 @@ def dispatch(policy: str, W: TrafficMatrixW, k=None, k_current=None) -> Schedule
         k = k_current = None
     k = _k_vector(k, n)
     k_current = k if k_current is None else _k_vector(k_current, n)
-    active = np.flatnonzero(W.b > 0)
+    active = (W.b > 0).nonzero()[0]
     if len(active) < m:
         return schedule_iterative_surplus(W, k)
-    w = W.w[active]
-    cols, obj = solve(w - np.maximum(0, k_current[active][:, None] - w), k[active])
+    w = W.w.take(active, 0)
+    cols, obj = solve(w - np.maximum(0, k_current.take(active)[:, None] - w), k.take(active))
     rc_to_ue = [None] * m
     ue_rcs = [()] * n
-    grants = np.zeros(n, dtype=np.int64)
+    grants = [0] * n
     for ue, c in zip(active.tolist(), cols):
         if c >= 0:
             rc_to_ue[c] = ue
             ue_rcs[ue] = (c,)
-            grants[ue] = W.w[ue, c]
-    return SchedulerDecision(rc_to_ue=tuple(rc_to_ue), ue_rcs=tuple(ue_rcs),
-                             grants=grants, objective=int(obj))
+            grants[ue] = W.w.item(ue, c)
+    return SchedulerDecision(tuple(rc_to_ue), tuple(ue_rcs),
+                             np.array(grants, dtype=np.int64), int(obj))
 
 
 def schedule_darts(W: TrafficMatrixW, k) -> SchedulerDecision:

@@ -94,8 +94,8 @@ class VoiceSource:
             raise TrafficError("generation intervals must be positive")
         self.rng = rng
         self.interval_ms = interval_ms
-        self.packet_bytes = packet_bytes
-        self.sid_bytes = sid_bytes
+        self.packet_bytes = int(packet_bytes)   # step skips make_packet's int()
+        self.sid_bytes = int(sid_bytes)
         self.sid_interval_ms = sid_interval_ms
         self.p_leave_talk = 1.0 / talk_mean_ms if talk_mean_ms > 0 else 0.0
         self.p_leave_silence = 1.0 / silence_mean_ms if silence_mean_ms > 0 else 0.0
@@ -118,12 +118,12 @@ class VoiceSource:
             self._talk_credit += 1.0
             while self._talk_credit >= self.interval_ms:
                 self._talk_credit -= self.interval_ms
-                out.append(make_packet(VOICE, self.packet_bytes, tti))
+                out.append(Packet(VOICE, self.packet_bytes, tti, self.packet_bytes))
         else:
             self._sid_credit += 1.0
             while self._sid_credit >= self.sid_interval_ms:
                 self._sid_credit -= self.sid_interval_ms
-                out.append(make_packet(VOICE, self.sid_bytes, tti))
+                out.append(Packet(VOICE, self.sid_bytes, tti, self.sid_bytes))
         return out
 
     def mean_rate_bps(self) -> float:
@@ -180,7 +180,7 @@ class VideoSource:
         pending = self._pending
         while pending and pending[0][0] < tti + 1.0:
             _, size = pending.popleft()
-            out.append(make_packet(VIDEO, size, tti))
+            out.append(Packet(VIDEO, size, tti, size))
         nxt = min(self._next_frame_ms, pending[0][0]) if pending else self._next_frame_ms
         self.due = math.floor(nxt)
         return out
@@ -282,7 +282,7 @@ class OnOffSource:
         out = []
         while self._credit >= self._next_size:
             self._credit -= self._next_size
-            out.append(make_packet(DATA, self._next_size, tti))
+            out.append(Packet(DATA, self._next_size, tti, self._next_size))
             self._next_size = self._draw_size()
         return out
 

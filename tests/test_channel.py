@@ -316,6 +316,7 @@ def test_clean_cqi_trace_takes_the_fast_path(tmp_path, monkeypatch):
     monkeypatch.setattr(chan, "_read_cqi_lines", no_line_reader)
     got = load_cqi_trace(path, n_ue=12, n_rc=cfg.rc_count)
     assert got.shape == (3000, 12, 16) and np.array_equal(got, grids)
+    assert got.dtype == np.int8
 
 
 def test_cqi_trace_errors_name_their_own_line(tmp_path):
@@ -331,6 +332,16 @@ def test_cqi_trace_errors_name_their_own_line(tmp_path):
             load_cqi_trace(path, n_ue=1, n_rc=2)
     path.write_text(" \n\t\n\x0c\n")
     with pytest.raises(ChannelError, match=f"^{path}: empty CQI trace$"):
+        load_cqi_trace(path, n_ue=1, n_rc=2)
+
+
+@pytest.mark.parametrize("token", ["128", "300", "-129", "9" * 20])
+def test_cqi_tokens_no_int8_holds_are_named(tmp_path, token):
+    # int8 parsing rejects them, and the line reader checks the range on
+    # Python ints, so even a token past int64 is named, not an OverflowError
+    path = tmp_path / "cqi.txt"
+    path.write_text(f"7 7\n7 {token}\n")
+    with pytest.raises(ChannelError, match=f"^{path}:2: CQI values must be in 1..15$"):
         load_cqi_trace(path, n_ue=1, n_rc=2)
 
 

@@ -6,7 +6,7 @@ from itertools import permutations
 from types import SimpleNamespace
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ulsched.assignment import brute_force_assignment, replicate_penalty_dummies, solve
 from ulsched.schedulers import (
@@ -306,6 +306,52 @@ def test_surplus_rounds_equal_the_numpy_loop():
         assert type(dec.objective) is int and dec.objective == objective, trial
         later_penalty_rounds += any(a > r for a, r in shapes[1:])
     assert later_penalty_rounds >= 20   # later rounds with more users than RCs left
+
+
+@st.composite
+def _surplus_dispatch_inputs(draw):
+    """Fewer UEs with data than RCs (1-8 RCs, down to one), idle UEs
+    (zero buffers, all of them at times), RCs with p = 0 for every UE, and
+    k_current <= k with k often positive."""
+    m = draw(st.integers(1, 8))
+    n_active = draw(st.integers(0, m - 1))
+    b = (draw(st.lists(st.sampled_from([1, 40, 251, 252, 700, 1600, 5000]),
+                       min_size=n_active, max_size=n_active))
+         + [0] * draw(st.integers(0, 3)))
+    b = draw(st.permutations(b))
+    n = len(b)
+    p = np.array(draw(st.lists(st.sampled_from([0, 252, 504, 756]), min_size=n * m,
+                               max_size=n * m)), dtype=np.int64).reshape(n, m)
+    p[:, sorted(draw(st.sets(st.integers(0, m - 1), max_size=m)))] = 0
+    b = np.array(b, dtype=np.int64)
+    k_cur = np.array(draw(st.lists(st.sampled_from([0, 5, 100, 400, 800]), min_size=n,
+                                   max_size=n)), dtype=np.int64)
+    hist = np.array(draw(st.lists(st.sampled_from([0, 0, 30, 900]), min_size=n, max_size=n)),
+                    dtype=np.int64)
+    return TrafficMatrixW(w=np.minimum(p, b[:, None]), p=p, b=b), k_cur + hist, k_cur
+
+
+_P_FLOOR = np.array([[756, 252, 756], [252, 252, 504]])
+
+
+@settings(max_examples=400, deadline=None)
+@given(inputs=_surplus_dispatch_inputs(), policy=st.sampled_from(POLICIES))
+@example(inputs=(TrafficMatrixW(w=_P_FLOOR, p=_P_FLOOR, b=np.array([5000, 5000])),
+                 np.array([5, 5]), np.array([5, 5])), policy="darts")
+def test_dispatch_surplus_equals_the_numpy_loop(inputs, policy):
+    """dispatch in the surplus regime is the test-only numpy loop, whose k is
+    zero for dham, with the same types. In the example both k fall to the
+    floor of zero in round 1, so round 2 (two UEs, one RC) ties on UE 0;
+    without the floor UE 1 would win it."""
+    W, k, k_cur = inputs
+    assert np.count_nonzero(W.b > 0) < W.n_rcs
+    dec = dispatch(policy, W, k, k_cur)
+    (rc_to_ue, ue_rcs, grants, objective), _shapes = _surplus_numpy_loop(
+        W, 0 * k if policy == "dham" else k)
+    assert dec.rc_to_ue == rc_to_ue and dec.ue_rcs == ue_rcs
+    assert all(type(ue) is int for ue in dec.rc_to_ue if ue is not None)
+    assert dec.grants.dtype == np.int64 and np.array_equal(dec.grants, grants)
+    assert type(dec.objective) is int and dec.objective == objective
 
 
 # ---------------------------------------------------------------------------

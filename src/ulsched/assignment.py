@@ -23,6 +23,7 @@ by enumeration; tests use them as independent oracles.
 """
 
 from itertools import permutations
+from operator import sub
 
 import numpy as np
 
@@ -45,7 +46,7 @@ def _as_ints(a, what):
     if a.dtype.kind not in "iub" and (
             a.dtype.kind != "f" or not np.all(np.isfinite(a)) or np.any(a != np.round(a))):
         raise AssignmentError(f"{what} must be integers")
-    return a.astype(np.int64)
+    return a.astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -60,57 +61,55 @@ def _jv_min(cost_rows, n_rows, n_cols):
     stay integral for integral costs, so reduced costs can be tested exactly
     afterwards.
 
-    Each row's Dijkstra scans only the still-free columns, in index order,
-    and keeps absolute path lengths: a column reached through row i0 at
-    reach[j0] costs reach[j0] + c[i0][j] - u[i0] - v[j]. The duals of the
-    used columns and their rows move once, by d - reach[j], when the phase
-    ends at a free column of length d.
+    Each row's Dijkstra starts at a virtual column (way -1) and scans the
+    still-free columns in index order, keeping absolute path lengths (a
+    column reached through row i0 costs reach[j0] + c[i0][j] - u[i0] - v[j])
+    and the first minimum (strict <; `best` starts one above the first free
+    column's reach, not at inf). The first scan runs in C: reach = c[i] - v,
+    and a free first minimum ends the phase. A phase ending at length d
+    moves the used columns and their rows by d - reach[j], and u[i] to d.
     """
-    INF = float("inf")
-    u = [0] * (n_rows + 1)
-    v = [0] * (n_cols + 1)
-    p = [0] * (n_cols + 1)    # p[j]: 1-based row matched to column j; column 0 is virtual
-    way = [0] * (n_cols + 1)
-    for i in range(1, n_rows + 1):
-        p[0] = i
-        j0 = 0
-        reach = [INF] * (n_cols + 1)
-        reach[0] = 0
-        free = list(range(1, n_cols + 1))
-        used = [0]
-        while True:
-            i0 = p[j0]
-            base = reach[j0] - u[i0]
-            row = cost_rows[i0 - 1]
-            best = INF
-            for j in free:
-                cur = base + row[j - 1] - v[j]
-                if cur < reach[j]:
-                    reach[j] = cur
-                    way[j] = j0
-                else:
-                    cur = reach[j]
-                if cur < best:
-                    best = cur
-                    j1 = j
-            j0 = j1
-            if p[j0] == 0:
-                break
-            used.append(j0)
-            free.remove(j0)
-        for j in used:
-            t = best - reach[j]
-            u[p[j]] += t
-            v[j] -= t
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    row_to_col = [-1] * n_rows
-    for j in range(1, n_cols + 1):
-        if p[j]:
-            row_to_col[p[j] - 1] = j - 1
-    return row_to_col, u[1:], v[1:]
+    u = [0] * n_rows
+    v = [0] * n_cols
+    p = [-1] * n_cols    # p[j]: row matched to column j, -1 while free
+    for i in range(n_rows):
+        reach = list(map(sub, cost_rows[i], v))
+        best = min(reach)
+        j0 = reach.index(best)
+        if p[j0] >= 0:
+            way = [-1] * n_cols
+            free = [*range(n_cols)]
+            used = []
+            while p[j0] >= 0:
+                used.append(j0)
+                free.remove(j0)
+                i0 = p[j0]
+                base = reach[j0] - u[i0]
+                row = cost_rows[i0]
+                best = reach[free[0]] + 1
+                for j in free:
+                    cur = base + row[j] - v[j]
+                    r = reach[j]
+                    if cur < r:
+                        reach[j] = cur
+                        way[j] = j0
+                        if cur < best:
+                            best = cur
+                            j1 = j
+                    elif r < best:
+                        best = r
+                        j1 = j
+                j0 = j1
+            for j in used:
+                t = best - reach[j]
+                u[p[j]] += t
+                v[j] -= t
+            while (j1 := way[j0]) >= 0:
+                p[j0] = p[j1]
+                j0 = j1
+        u[i] = best
+        p[j0] = i
+    return [p.index(i) for i in range(n_rows)], u, v
 
 
 def _lexi_cascade(tight, may_exit, row_of_col, rows):
@@ -140,7 +139,7 @@ def _lexi_cascade(tight, may_exit, row_of_col, rows):
     - the exit slot's refill test reads only i, `old` (= cur) and the
       unchanged matching, never the path that reached it, so an exit that
       failed once fails on every later try of the row; this is the step a
-      refill that searches paths (home(x, old), ROADMAP item 1) must
+      refill that searches paths (home(x, old), ROADMAP item 2) must
       re-check;
     - a per-try search would enter such dead columns and fail there,
       marking only columns that are already dead, so skipping them leaves
@@ -168,7 +167,7 @@ def _lexi_cascade(tight, may_exit, row_of_col, rows):
             if old < 0:
                 moves.append((h, -1))
                 return True
-            # ROADMAP item 1: the refill takes only a row tight on `old` and
+            # ROADMAP item 2: the refill takes only a row tight on `old` and
             # follows no chain; the fix replaces tight[old][x] with home(x, old).
             for x in range(i + 1, n):
                 if col_of_row[x] < 0 and tight[old][x]:
@@ -198,11 +197,10 @@ def _lexi_cascade(tight, may_exit, row_of_col, rows):
     return col_of_row
 
 
-def _row_max_greedy(rows):
+def _row_max_greedy(rows, tops):
     """Rows (lists) in order each take their lowest-indexed free column
-    holding the row's maximum. Returns (col_of_row, sum of the row maxima),
-    or None as soon as a row finds no such column (see solve)."""
-    tops = list(map(max, rows))
+    holding the row's maximum, tops[i]. Returns (col_of_row, sum of the row
+    maxima), or None as soon as a row finds no such column (see solve)."""
     cols = []
     for row, top in zip(rows, tops):
         j = row.index(top)
@@ -272,24 +270,25 @@ def solve(rewards, penalty=None):
         folded = r + k[:, None]
         # only rows reaching some column's m-th best can be matched in an optimum
         mth = np.partition(folded, n - m, axis=0)[n - m]
-        keep = np.flatnonzero((folded >= mth).any(axis=1))
-        folded = folded[keep]
-        top = folded.max(axis=0, keepdims=True)
+        keep = (folded >= mth).any(1).nonzero()[0]
+        folded = folded[keep] if len(keep) < n else folded
+        top = folded.max(axis=0)
         cost = (top - folded).T  # (m, n'): columns take rows
         cost_rows = cost.tolist()
         row_of_col, u, v = _jv_min(cost_rows, m, len(keep))
-        tight = (cost - np.array(u)[:, None] - np.array(v) == 0).tolist()
+        tight = (cost - np.array(v) == np.array(u)[:, None]).tolist()
         kept = _lexi_cascade(tight, [x == 0 for x in v], row_of_col, len(keep))
         cols = [-1] * n
         for i, c in zip(keep.tolist(), kept):
             cols[i] = c
         # every column is held: sum(top) - the held costs = matched r + matched k
         held = sum(cost_rows[c][j] for j, c in enumerate(kept) if c >= 0)
-        return cols, int(top.sum()) - held - int(k.sum())
+        return cols, sum(top.tolist()) - held - sum(k.tolist())
     rows = r.tolist()
-    if (certified := _row_max_greedy(rows)) is not None:
+    top = r.max(axis=1)
+    if (certified := _row_max_greedy(rows, top.tolist())) is not None:
         return certified
-    cost = r.max(axis=1, keepdims=True) - r
+    cost = top[:, None] - r
     col_of, u, v = _jv_min(cost.tolist(), n, m)
     # dummy rows (cost 0, dual 0) are tight exactly where v = 0, a set
     # that holds every column the real rows left free

@@ -151,11 +151,11 @@ def _is_real(value) -> bool:
 
 
 def _number(is_type, noun, op=None, bound=None):
-    """(test, what) of a number of one type and, given op, `value op bound`;
-    a str bound is the dotted key of an earlier row."""
+    """(test, what) of a number of one type and, given op, `value op bound`
+    (op "|x| <=" bounds |value|); a str bound is the dotted key of an earlier row."""
     if op is None:
         return lambda v, cfg: is_type(v), noun
-    cmp = {">=": operator.ge, ">": operator.gt}[op]
+    cmp = {">=": operator.ge, ">": operator.gt, "|x| <=": lambda v, b: abs(v) <= b}[op]
     at = (lambda cfg: _get(cfg, bound)) if isinstance(bound, str) else (lambda cfg: bound)
     return lambda v, cfg: is_type(v) and cmp(v, at(cfg)), f"{noun} {op} {bound}"
 
@@ -199,8 +199,9 @@ _RULES = (
     ("channel.n_prb_data",
      lambda v, cfg: _is_int(v) and v >= 1 and v % cfg.channel.prb_per_rc == 0,
      "a positive multiple of channel.prb_per_rc"),
-    *((f"channel.{key}", *_real()) for key in ("p_max_dbm", "p_o_dbm", "penetration_loss_db",
-                                               "noise_figure_db", "thermal_noise_dbm_hz")),
+    # dB sums become mW (noise, interference); 10**(x/10) overflows above x = 3083
+    *((f"channel.{key}", *_real("|x| <=", 300)) for key in (
+        "p_max_dbm", "p_o_dbm", "penetration_loss_db", "noise_figure_db", "thermal_noise_dbm_hz")),
     ("channel.alpha_pc", lambda v, cfg: _is_real(v) and 0 < v <= 1, "a real number in (0, 1]"),
     ("channel.shadowing_sigma_db", *_real(">=", 0)),
     ("channel.min_ue_distance_m", *_real(">", 0)),

@@ -138,15 +138,15 @@ POLICIES = ("dham", "darts", "dafs")
 def dispatch(policy: str, W: TrafficMatrixW, k=None, k_current=None) -> SchedulerDecision:
     """Run one TTI decision from the int64 urgency vectors k (unmatched-row
     penalty) and k_current (defaults to k; the residual drops use the
-    current-TTI critical bytes only, as history bytes are already gone).
-    dham ignores both. Users with empty buffers take no part (their k is
-    treated as zero: with no bytes buffered nothing can drop this TTI, and
-    an idle user must not consume a resource chunk just to dodge a history
-    penalty). With fewer active users than RCs the iterative surplus regime
-    runs; otherwise one solve over the active users, penalty-padded or
-    square, maximizes sum(w_ij - d_ij) over the granted pairs minus k_i for
-    each active user left out, with d_ij = max(0, k_current_i - w_ij). Each
-    such user gets at most one RC."""
+    current-TTI critical bytes only, as history bytes are already gone). dham
+    ignores both. Users with empty buffers take no part (their k is treated as
+    zero: with no bytes buffered nothing can drop this TTI, and an idle user
+    must not consume a resource chunk just to dodge a history penalty). With
+    fewer active users than RCs the iterative surplus regime runs; otherwise
+    one solve over the active users, penalty-padded or square, maximizes
+    sum(w_ij - d_ij) over the granted pairs minus k_i for each active user
+    left out, with d_ij = max(0, k_current_i - w_ij), i.e. rewards
+    min(w_ij, 2 w_ij - k_current_i). Each such user gets at most one RC."""
     if policy not in POLICIES:
         raise SchedulerError(f"unknown policy {policy!r}")
     n, m = W.n_ues, W.n_rcs
@@ -158,7 +158,7 @@ def dispatch(policy: str, W: TrafficMatrixW, k=None, k_current=None) -> Schedule
     if len(active) < m:
         return schedule_iterative_surplus(W, k)
     w = W.w.take(active, 0)
-    cols, obj = solve(w - np.maximum(0, k_current.take(active)[:, None] - w), k.take(active))
+    cols, obj = solve(np.minimum(w, 2 * w - k_current.take(active)[:, None]), k.take(active))
     rc_to_ue = [None] * m
     ue_rcs = [()] * n
     grants = [0] * n

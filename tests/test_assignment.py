@@ -263,6 +263,80 @@ def test_jv_min_returns_a_dual_certificate():
         assert np.all(v[np.setdiff1d(np.arange(m), row_to_col)] == 0), trial
 
 
+def _one_based_jv(cost_rows, n_rows, n_cols):
+    """The textbook layout of _jv_min, kept on purpose as its oracle: 1-based
+    rows and columns with virtual column 0, reach starting at inf, and every
+    scan, the first one included, in Python. _jv_min must return the same
+    (row_to_col, u, v) on every input, ties included."""
+    INF = float("inf")
+    u = [0] * (n_rows + 1)
+    v = [0] * (n_cols + 1)
+    p = [0] * (n_cols + 1)    # p[j]: 1-based row matched to column j; column 0 is virtual
+    way = [0] * (n_cols + 1)
+    for i in range(1, n_rows + 1):
+        p[0] = i
+        j0 = 0
+        reach = [INF] * (n_cols + 1)
+        reach[0] = 0
+        free = list(range(1, n_cols + 1))
+        used = [0]
+        while True:
+            i0 = p[j0]
+            base = reach[j0] - u[i0]
+            row = cost_rows[i0 - 1]
+            best = INF
+            for j in free:
+                cur = base + row[j - 1] - v[j]
+                if cur < reach[j]:
+                    reach[j] = cur
+                    way[j] = j0
+                else:
+                    cur = reach[j]
+                if cur < best:
+                    best = cur
+                    j1 = j
+            j0 = j1
+            if p[j0] == 0:
+                break
+            used.append(j0)
+            free.remove(j0)
+        for j in used:
+            t = best - reach[j]
+            u[p[j]] += t
+            v[j] -= t
+        while j0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    row_to_col = [-1] * n_rows
+    for j in range(1, n_cols + 1):
+        if p[j]:
+            row_to_col[p[j] - 1] = j - 1
+    return row_to_col, u[1:], v[1:]
+
+
+def _jv_case(rng, n, m, high):
+    return rng.integers(0, high + 1, size=(n, m)).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40), extra=st.integers(0, 39),
+       high=st.sampled_from([1, 3, 10 ** 4]))
+def test_jv_min_equals_the_one_based_oracle(seed, n, extra, high):
+    m = min(n + extra, 40)
+    c = _jv_case(np.random.default_rng(seed), n, m, high)
+    assert _jv_min(c, n, m) == _one_based_jv(c, n, m)
+
+
+def test_jv_min_equals_the_one_based_oracle_seeded():
+    rng = np.random.default_rng(2022)
+    for trial in range(20000):
+        n = int(rng.integers(1, 13))
+        m = int(rng.integers(n, 17))
+        c = _jv_case(rng, n, m, (1, 3, 10 ** 4)[trial % 3])
+        assert _jv_min(c, n, m) == _one_based_jv(c, n, m), (trial, c)
+
+
 def test_surplus_tie_rule_beyond_brute_force():
     # fewer rows than columns: no row stays unmatched, so the penalty is moot
     rng = np.random.default_rng(4812)

@@ -194,6 +194,30 @@ def test_validate_rejects_non_finite_channel_floats():
             assert f"channel.{key}" in str(err.value)
 
 
+def test_validate_bounds_the_db_keys():
+    # each of these passed validate, and run() then overflowed 10**(x/10) in
+    # _dbm_to_mw ("overflow encountered in power") after validating
+    base = {"policy": "darts", "n_ues": 6, "tti_count": 20}
+    for channel in ({"p_max_dbm": 1e308, "p_o_dbm": 1e308}, {"thermal_noise_dbm_hz": 1e308},
+                    {"noise_figure_db": 1e308},
+                    {"penetration_loss_db": -1e308, "alpha_pc": 0.5},
+                    {"p_o_dbm": 300.5}, {"noise_figure_db": -301}):
+        key = next(iter(channel))
+        bad = ScenarioConfig.from_dict(dict(base, channel=channel))
+        for check in (validate, run):
+            with pytest.raises(ConfigError) as err:
+                check(bad)
+            assert str(err.value).startswith(
+                f"channel.{key} must be a finite real number |x| <= 300"), err.value
+    # the limits themselves, with either sign, run without a warning
+    for sign in (1, -1):
+        keys = ("p_max_dbm", "p_o_dbm", "noise_figure_db", "thermal_noise_dbm_hz")
+        channel = {key: sign * 300 for key in keys}
+        channel.update(penetration_loss_db=-sign * 300, alpha_pc=0.01)
+        summary = run(ScenarioConfig.from_dict(dict(base, channel=channel)))
+        assert summary.conservation_ok
+
+
 def test_validate_rejects_non_finite_numbers():
     # an infinite video load made the frame clock stand still, so run()
     # never returned; an infinite voice load failed inside run() naming no

@@ -22,6 +22,7 @@ problems the core is equivalent to, and brute_force_assignment solves them
 by enumeration; tests use them as independent oracles.
 """
 
+from functools import cache
 from itertools import permutations
 from operator import sub
 
@@ -306,7 +307,10 @@ def solve(rewards, penalty=None):
 # brute-force oracle
 # ---------------------------------------------------------------------------
 
-_PERM_CACHE: dict = {}
+@cache
+def _perms(n: int) -> np.ndarray:
+    """Every permutation of range(n) in lexicographic order, one per row."""
+    return np.array(list(permutations(range(n))), dtype=np.intp)
 
 
 def brute_force_assignment(m, limit: int = 8):
@@ -322,10 +326,7 @@ def brute_force_assignment(m, limit: int = 8):
         raise AssignmentError(f"matrix must be square, got {n}x{cols}")
     if n > limit:
         raise AssignmentError(f"brute force limited to n <= {limit}, got {n}")
-    perms = _PERM_CACHE.get(n)
-    if perms is None:
-        perms = np.array(list(permutations(range(n))), dtype=np.intp)
-        _PERM_CACHE[n] = perms
+    perms = _perms(n)
     objs = a[np.arange(n), perms].sum(axis=1)
     best = int(np.argmax(objs))
     return perms[best].tolist(), objs[best].item()

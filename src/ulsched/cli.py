@@ -106,13 +106,23 @@ def _load_config(args) -> ScenarioConfig:
     return cfg
 
 
+def _out_dir(path) -> Path:
+    """The --out directory, created if missing; one that cannot be is a
+    ConfigError naming the flag."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"--out {path} cannot be used as a directory: {err.strerror}") from None
+    return out
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
     if args.trace:
         cfg = replace(cfg, keep_trace=True)
     validate(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     summary = run(cfg)
     row = summary_row(summary, cfg.policy, cfg.ue_policy, cfg.seed, cfg.loads_mbps)
     csv_path = out / f"run_{cfg.policy}_{cfg.ue_policy}_seed{cfg.seed}.csv"
@@ -131,8 +141,7 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     validate(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     rows = sweep(cfg, points_mbps=args.points, seeds=args.seeds, jobs=args.jobs)
     csv_path = out / f"sweep_{cfg.policy}_{cfg.ue_policy}.csv"
     write_summary_csv(csv_path, rows)
@@ -173,7 +182,7 @@ def main(argv=None) -> int:
                 "example": _cmd_example, "validate": _cmd_validate}
     try:
         return handlers[args.command](args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and every model error
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

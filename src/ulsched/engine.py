@@ -122,13 +122,6 @@ class ScenarioConfig:
                               f"got {type(d).__name__}")
         return cls.from_dict(d)
 
-    def to_dict(self) -> dict:
-        out = {f: getattr(self, f) for f in self.__dataclass_fields__ if f != "channel"}
-        out["channel"] = {f: getattr(self.channel, f)
-                          for f in ChannelConfig.__dataclass_fields__}
-        out["channel"]["cqi_thresholds_db"] = list(self.channel.cqi_thresholds_db)
-        return out
-
 
 _ABSENT = object()
 
@@ -203,11 +196,17 @@ _RULES = (
     *((f"channel.{key}", *_real("|x| <=", 300)) for key in (
         "p_max_dbm", "p_o_dbm", "penetration_loss_db", "noise_figure_db", "thermal_noise_dbm_hz")),
     ("channel.alpha_pc", lambda v, cfg: _is_real(v) and 0 < v <= 1, "a real number in (0, 1]"),
-    ("channel.shadowing_sigma_db", *_real(">=", 0)),
-    ("channel.min_ue_distance_m", *_real(">", 0)),
+    # sigma * z joins those dB sums; at sigma = 100 an overflow needs |z| > 24
+    ("channel.shadowing_sigma_db", lambda v, cfg: _is_real(v) and 0 <= v <= 100,
+     "a real number in [0, 100]"),
+    # the path-loss law turns into a gain below 0.39 m
+    ("channel.min_ue_distance_m", *_real(">=", 1)),
+    # LTE's timing advance (0.67 ms round trip) reaches 100 km
     ("channel.inter_site_distance_m",
-     lambda v, cfg: _is_real(v) and cfg.channel.cell_radius_m >= cfg.channel.min_ue_distance_m,
-     "a finite real number whose cell radius ISD/sqrt(3) is >= channel.min_ue_distance_m"),
+     lambda v, cfg: (_is_real(v)
+                     and cfg.channel.min_ue_distance_m <= cfg.channel.cell_radius_m <= 100e3),
+     "a finite real number whose cell radius ISD/sqrt(3) is >= channel.min_ue_distance_m "
+     "and <= 100 km"),
     ("channel.fast_fading", *_FLAG),
     ("channel.cqi_thresholds_db",
      lambda v, cfg: (isinstance(v, (list, tuple)) and len(v) == 15
@@ -409,16 +408,13 @@ def run(cfg: ScenarioConfig) -> MetricsSummary:
             k = k_current + np.array([buf.history_sum for buf in buffers], dtype=np.int64)
         sent = 0
         delivered = []
-        decision = None
-        if n:
-            W = build_traffic_matrix(grid(tti), b)
-            decision = dispatch(cfg.policy, W, k, k_current)
-            grants = decision.grants
-            for ue in np.flatnonzero(grants).tolist():
-                buf = buffers[ue]
-                before = buf.total
-                delivered += drain(buf, int(grants[ue]), tti)
-                sent += before - buf.total
+        decision = dispatch(cfg.policy, build_traffic_matrix(grid(tti), b), k, k_current)
+        grants = decision.grants
+        for ue in np.flatnonzero(grants).tolist():
+            buf = buffers[ue]
+            before = buf.total
+            delivered += drain(buf, int(grants[ue]), tti)
+            sent += before - buf.total
         collector.record_tti(tti, dropped, sent, delivered, decision)
     return collector.finalize(buffers)
 

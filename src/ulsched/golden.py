@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import cqi_to_bytes_per_rc
 from .schedulers import build_traffic_matrix, dispatch
 
 CQIS = (7, 12, 6)
@@ -147,12 +146,11 @@ def first_slot_objectives():
     walkthrough's printed form: own transmittable bytes minus the other
     users' imminent drops (the chosen user's own residual drop is left out
     of the printout; the scheduler itself accounts for it)."""
-    w = [min(cap, b) for cap, b in zip(cqi_to_bytes_per_rc(CQIS).tolist(), INITIAL_BUFFERS)]
+    W = build_traffic_matrix(np.array([list(CQIS)]).T, list(INITIAL_BUFFERS))
+    w = W.w[:, 0].tolist()
     k = FIRST_SLOT_CRITICAL
     total_k = sum(k)
     values = tuple(w[i] - (total_k - k[i]) for i in range(len(w)))
-    grid = np.array([list(CQIS)]).T
-    W = build_traffic_matrix(grid, list(INITIAL_BUFFERS))
     decision = dispatch("darts", W, np.array(k, dtype=np.int64))
     return values, decision.rc_to_ue[0]
 

@@ -12,6 +12,7 @@ must not skip `due` itself; stepping every TTI stays correct and yields the
 same packets, stamps and draws.
 """
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -186,24 +187,17 @@ class VideoSource:
         return out
 
 
-_FRAME_MEAN_CACHE: dict = {}
-
-
+@functools.cache
 def estimate_mean_frame_bytes(packets_per_frame, min_frame_bytes, size_scale,
                               size_shape, size_max, n_frames=4000) -> float:
     """Monte-Carlo mean frame size under the upscale-to-minimum rule
     (seeded, cached); used to translate offered video load into fps."""
-    key = (packets_per_frame, min_frame_bytes, size_scale, size_shape, size_max)
-    got = _FRAME_MEAN_CACHE.get(key)
-    if got is None:
-        rng = np.random.default_rng(20240901)
-        sizes = truncated_pareto_sample(size_scale, size_shape, size_max, rng,
-                                        size=(n_frames, packets_per_frame))
-        totals = sizes.sum(axis=1)
-        scale = np.maximum(1.0, min_frame_bytes / totals)
-        got = float(np.ceil(sizes * scale[:, None]).sum(axis=1).mean())
-        _FRAME_MEAN_CACHE[key] = got
-    return got
+    rng = np.random.default_rng(20240901)
+    sizes = truncated_pareto_sample(size_scale, size_shape, size_max, rng,
+                                    size=(n_frames, packets_per_frame))
+    totals = sizes.sum(axis=1)
+    scale = np.maximum(1.0, min_frame_bytes / totals)
+    return float(np.ceil(sizes * scale[:, None]).sum(axis=1).mean())
 
 
 class OnOffSource:
@@ -255,9 +249,9 @@ class OnOffSource:
         whole = int(r)
         self.due = now + whole - (1 if r - whole <= 1e-12 else 0)
 
-    def step_ms(self, tti: int) -> float:
+    def step_ms(self, tti: int) -> None:
         """Advance over TTI `tti`, first catching up on the TTIs skipped since
-        the last step; returns bytes of credit accrued."""
+        the last step, and add the credit accrued while ON."""
         if tti > self._now:
             if tti > self.due:
                 raise TrafficError(f"on/off source stepped at TTI {tti}, "
@@ -276,7 +270,6 @@ class OnOffSource:
                 self._remaining = self._draw_duration()
         self._credit += accrued
         self._set_due(tti + 1)
-        return accrued
 
     def take_packets(self, tti: int):
         out = []

@@ -130,6 +130,22 @@ def test_a_config_file_that_is_not_a_json_object_is_named(tmp_path, capsys, comm
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_an_out_path_that_cannot_be_a_directory_is_named(tmp_path, capsys, command):
+    # an existing file, or a path under one, ended in a FileExistsError or
+    # NotADirectoryError traceback from mkdir
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tti_count": 5, "n_ues": 2,
+                               "sweep": {"points_mbps": [1.0], "seeds": [1]}}))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out, why in ((taken, "File exists"), (taken / "sub", "Not a directory")):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --out {out} cannot be used as a directory: {why}\n", err
+    assert taken.read_text() == ""
+
+
 def test_run_writes_csv_and_is_repeatable(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -1,7 +1,7 @@
 """Engine tests: deployment, determinism, conservation, fixtures, sweep."""
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -218,6 +218,34 @@ def test_validate_bounds_the_db_keys():
         assert summary.conservation_ok
 
 
+def test_validate_bounds_shadowing_and_the_cell_geometry():
+    # sigma 1e300 overflowed 10**(x/10) mid-run, ISD 1e-290 over a 1e-300 m
+    # minimum ended in ChannelError("distance must be positive") mid-run, and
+    # ISD 1e200 in a bare OverflowError from deploy's radius ** 2
+    base = {"policy": "darts", "n_ues": 6, "tti_count": 20}
+    for channel, key, what in (
+            ({"shadowing_sigma_db": 1e300}, "shadowing_sigma_db", "a real number in [0, 100]"),
+            ({"shadowing_sigma_db": 100.5}, "shadowing_sigma_db", "a real number in [0, 100]"),
+            ({"inter_site_distance_m": 1e-290, "min_ue_distance_m": 1e-300},
+             "min_ue_distance_m", "a finite real number >= 1"),
+            ({"inter_site_distance_m": 2.0, "min_ue_distance_m": 0.99},
+             "min_ue_distance_m", "a finite real number >= 1"),
+            ({"inter_site_distance_m": 1e200}, "inter_site_distance_m", "a finite real number"),
+            ({"inter_site_distance_m": 173_206.0}, "inter_site_distance_m",
+             "a finite real number")):
+        bad = ScenarioConfig.from_dict(dict(base, channel=channel))
+        for check in (validate, run):
+            with pytest.raises(ConfigError) as err:
+                check(bad)
+            assert str(err.value).startswith(f"channel.{key} must be {what}"), err.value
+    # the limits themselves run without a warning, the dB keys at theirs too
+    for channel in ({"shadowing_sigma_db": 100.0, "p_max_dbm": 300, "p_o_dbm": 300,
+                     "penetration_loss_db": -300, "inter_site_distance_m": 2.0,
+                     "min_ue_distance_m": 1.0},
+                    {"inter_site_distance_m": 173_205.0}):
+        assert run(ScenarioConfig.from_dict(dict(base, channel=channel))).conservation_ok
+
+
 def test_validate_rejects_non_finite_numbers():
     # an infinite video load made the frame clock stand still, so run()
     # never returned; an infinite voice load failed inside run() naming no
@@ -227,7 +255,7 @@ def test_validate_rejects_non_finite_numbers():
                        ("video_params.size_scale", math.nan)):
         head, _, name = key.partition(".")
         d = {"policy": "darts", "n_ues": 4, "tti_count": 30}
-        d[head] = {**ScenarioConfig().to_dict()[head], name: value} if name else value
+        d[head] = {**asdict(ScenarioConfig())[head], name: value} if name else value
         bad = ScenarioConfig.from_dict(d)
         for check in (validate, run):
             with pytest.raises(ConfigError) as err:
@@ -244,7 +272,7 @@ def test_validate_rejects_wrongly_typed_values():
     # 40.5 ran about 1% under the offered voice load; a list for channel
     # raised AttributeError
     base = {"policy": "darts", "n_ues": 4, "tti_count": 30}
-    default = ScenarioConfig().to_dict()
+    default = asdict(ScenarioConfig())
     for key, value in (("tti_count", 40.0), ("history_window", 10.5),
                        ("buffer_capacity", 1000.5), ("seed", True), ("n_ues", "4"),
                        ("voice_deadline_ms", 50.0), ("keep_trace", "yes"),
@@ -294,7 +322,7 @@ def test_validate_rejects_nonpositive_min_ue_distance():
 
 def _config_keys():
     """Every dotted key a scenario config can set."""
-    default = ScenarioConfig().to_dict()
+    default = asdict(ScenarioConfig())
     keys = list(default)
     for head in ("channel", "voice_params", "video_params", "data_params"):
         keys += [f"{head}.{name}" for name in default[head]]
@@ -313,7 +341,7 @@ def test_no_config_key_escapes_validation(key):
     # "cqi_trace": true passed validate, and run() then opened fd 1 (stdout)
     # and failed with OSError after closing it; arrival_trace the same
     base = ScenarioConfig(policy="darts", n_ues=2, tti_count=5)
-    default = base.to_dict()
+    default = asdict(base)
     head, _, name = key.partition(".")
     current = default[head].get(name) if name else default[head]
     bad = "yes" if isinstance(current, bool) else True  # a string for flags, else a bool
@@ -357,7 +385,7 @@ def test_readme_config_block_is_a_valid_config():
     block = section[section.index("```json") + len("```json"):]
     d = json.loads(block[:block.index("```")])
     validate(ScenarioConfig.from_dict(d))
-    default = ScenarioConfig().to_dict()
+    default = asdict(ScenarioConfig())
     assert set(d) <= set(default)
     for head in ("loads_mbps", "channel", "voice_params", "video_params", "data_params"):
         assert set(d.get(head, {})) <= set(default[head]), head
@@ -393,7 +421,7 @@ def test_config_json_roundtrip(tmp_path):
     cfg = ScenarioConfig(policy="dafs", ue_policy="flip", seed=9)
     path = tmp_path / "cfg.json"
     import json
-    path.write_text(json.dumps(cfg.to_dict()))
+    path.write_text(json.dumps(asdict(cfg)))
     back = ScenarioConfig.from_json(path)
     assert back == cfg
 
@@ -440,6 +468,19 @@ def test_zero_load_run_is_silent():
     assert s.total_transmitted == 0
     assert sum(s.deadline_dropped.values()) == 0
     assert not s.jain_defined and s.jain == 1.0
+
+
+@pytest.mark.parametrize("policy", ["dham", "darts", "dafs"])
+@pytest.mark.parametrize("ue_policy", ["strict", "flip"])
+def test_a_run_without_ues_takes_every_tti_step(policy, ue_policy):
+    # a PPP draw of 0 UEs runs the same TTI loop as any other deployment
+    cfg = ScenarioConfig(policy=policy, ue_policy=ue_policy, ue_mode="ppp",
+                         ppp_intensity_per_km2=1e-9, tti_count=50, keep_trace=True)
+    s = run(cfg)
+    assert s.n_ues == 0 and s.tti_count == 50 and s.conservation_ok
+    assert s.total_arrived == 0 and s.total_transmitted == 0
+    assert s.trace_rows == [{"tti": tti, "dropped_bytes": 0, "scheduled": [],
+                             "granted_bytes": 0, "transmitted_bytes": 0} for tti in range(50)]
 
 
 def test_conservation_across_policies_and_loads():

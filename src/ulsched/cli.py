@@ -117,20 +117,41 @@ def _out_dir(path) -> Path:
     return out
 
 
+def _csv_target(out: Path, name: str) -> Path:
+    """out/name, checked before the run: a directory there, or a file the
+    process may not write, is a ConfigError naming the path."""
+    path = out / name
+    if path.is_dir():
+        raise ConfigError(f"{path} cannot be written: Is a directory")
+    if not os.access(path if path.exists() else out, os.W_OK):
+        raise ConfigError(f"{path} cannot be written: Permission denied")
+    return path
+
+
+def _write_csv(write, path, rows) -> None:
+    """write(path, rows); an OSError, such as the path turning into a
+    directory during the run, is a ConfigError naming the path."""
+    try:
+        write(path, rows)
+    except OSError as err:
+        raise ConfigError(f"{path} cannot be written: {err.strerror}") from None
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
     if args.trace:
         cfg = replace(cfg, keep_trace=True)
     validate(cfg)
     out = _out_dir(args.out)
+    name = f"{cfg.policy}_{cfg.ue_policy}_seed{cfg.seed}.csv"
+    csv_path = _csv_target(out, f"run_{name}")
+    trace_path = _csv_target(out, f"trace_{name}") if args.trace else None
     summary = run(cfg)
     row = summary_row(summary, cfg.policy, cfg.ue_policy, cfg.seed, cfg.loads_mbps)
-    csv_path = out / f"run_{cfg.policy}_{cfg.ue_policy}_seed{cfg.seed}.csv"
-    write_summary_csv(csv_path, [row])
+    _write_csv(write_summary_csv, csv_path, [row])
     trace_note = ""
     if args.trace:
-        trace_path = out / f"trace_{cfg.policy}_{cfg.ue_policy}_seed{cfg.seed}.csv"
-        write_trace_csv(trace_path, summary.trace_rows)
+        _write_csv(write_trace_csv, trace_path, summary.trace_rows)
         trace_note = f" trace={trace_path}"
     print(f"RESULT ok policy={cfg.policy} ue_policy={cfg.ue_policy} seed={cfg.seed} "
           f"ttis={summary.tti_count} mac_mbps={summary.mac_throughput_mbps:.4f} "
@@ -142,9 +163,9 @@ def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     validate(cfg)
     out = _out_dir(args.out)
+    csv_path = _csv_target(out, f"sweep_{cfg.policy}_{cfg.ue_policy}.csv")
     rows = sweep(cfg, points_mbps=args.points, seeds=args.seeds, jobs=args.jobs)
-    csv_path = out / f"sweep_{cfg.policy}_{cfg.ue_policy}.csv"
-    write_summary_csv(csv_path, rows)
+    _write_csv(write_summary_csv, csv_path, rows)
     print(f"RESULT ok policy={cfg.policy} rows={len(rows)} csv={csv_path}")
     return 0
 

@@ -26,6 +26,7 @@ from .schedulers import POLICIES, build_traffic_matrix, dispatch
 from .traffic import (
     CLASSES,
     DATA,
+    NEVER,
     DataSource,
     TrafficError,
     UeBuffer,
@@ -166,6 +167,14 @@ def _list_of(ok, what):
             f"a non-empty list of {what}")
 
 
+_MAX_PPP_MEAN_UES = 0xFFF3
+
+
+def _disc_km2(ch: ChannelConfig) -> float:
+    """Area of the disc deploy places UEs in: the cell minus its inner radius."""
+    return math.pi * (ch.cell_radius_m ** 2 - ch.min_ue_distance_m ** 2) / 1e6
+
+
 _MAPPING = (lambda v, cfg: isinstance(v, dict), "a mapping")
 _FLAG = (lambda v, cfg: isinstance(v, (bool, np.bool_)), "true or false")
 _PATH = (lambda v, cfg: v is None or isinstance(v, (str, os.PathLike)) and len(os.fspath(v)) > 0,
@@ -184,7 +193,6 @@ _RULES = (
                                         "video_deadline_ms", "history_window")),
     ("buffer_threshold", lambda v, cfg: _is_int(v) and 0 <= v < cfg.buffer_capacity,
      "an integer >= 0 and < buffer_capacity"),
-    ("ppp_intensity_per_km2", *_real(">", 0)),
     ("loads_mbps", *_MAPPING),
     *((f"loads_mbps.{cls}", *_real(">=", 0)) for cls in CLASSES),
     ("channel", lambda v, cfg: isinstance(v, ChannelConfig), "a mapping of channel keys"),
@@ -207,6 +215,13 @@ _RULES = (
                      and cfg.channel.min_ue_distance_m <= cfg.channel.cell_radius_m <= 100e3),
      "a finite real number whose cell radius ISD/sqrt(3) is >= channel.min_ue_distance_m "
      "and <= 100 km"),
+    # the mean of deploy's Poisson UE count; a cell addresses its UEs by 16-bit
+    # C-RNTIs, of which 0x0001-0xFFF3 are usable (3GPP TS 36.321, Table 7.1-1)
+    ("ppp_intensity_per_km2",
+     lambda v, cfg: _is_real(v) and v > 0 and (
+         cfg.ue_mode != "ppp" or v * _disc_km2(cfg.channel) <= _MAX_PPP_MEAN_UES),
+     f"a finite real number > 0 whose mean UE count over the cell disc, with ue_mode "
+     f"ppp, is <= {_MAX_PPP_MEAN_UES}"),
     ("channel.fast_fading", *_FLAG),
     ("channel.cqi_thresholds_db",
      lambda v, cfg: (isinstance(v, (list, tuple)) and len(v) == 15
@@ -266,7 +281,7 @@ def validate(cfg: ScenarioConfig) -> None:
 
 def _check_voice_floor(cfg: ScenarioConfig, n_ues: int) -> None:
     """The voice load, split over n_ues live sources, must exceed what the
-    silence descriptors alone send; a replayed arrival trace has no sources."""
+    silence descriptors alone send; a replayed arrival trace has no voice sources."""
     load = cfg.loads_mbps.get(VOICE, 0.0)
     if cfg.arrival_trace or load <= 0 or n_ues == 0:
         return
@@ -289,8 +304,7 @@ def deploy(cfg: ScenarioConfig, rng) -> Topology:
     radius = ch.cell_radius_m
     d0 = ch.min_ue_distance_m
     if cfg.ue_mode == "ppp":
-        area_km2 = math.pi * (radius ** 2 - d0 ** 2) / 1e6
-        n = int(rng.poisson(cfg.ppp_intensity_per_km2 * area_km2))
+        n = int(rng.poisson(cfg.ppp_intensity_per_km2 * _disc_km2(ch)))
     else:
         n = cfg.n_ues
     u = rng.uniform(0.0, 1.0, size=n)
@@ -340,6 +354,32 @@ def _build_sources(cfg: ScenarioConfig, n_ues: int):
     return sources
 
 
+class _Replay:
+    """One UE's replayed arrivals as a source: `due` is the TTI of its next
+    trace row (NEVER after the last one), and `step` at that TTI turns the
+    TTI's rows into packets, in file order. It walks an index over the rows,
+    which ends on a NEVER row, so a step allocates only its packets."""
+
+    __slots__ = ("due", "_rows", "_next")
+
+    def __init__(self, rows):
+        self._rows = [*rows, (NEVER, None, None)]
+        self._next = 0
+        self.due = self._rows[0][0]
+
+    def step(self, tti: int):
+        pkts = []
+        rows, i = self._rows, self._next
+        row = rows[i]
+        while row[0] == tti:
+            pkts.append(make_packet(row[1], row[2], tti))
+            i += 1
+            row = rows[i]
+        self._next = i
+        self.due = row[0]
+        return pkts
+
+
 def _read_trace(key, load, path, *shape):
     """load(path, *shape); a file that cannot be opened, read or decoded is a
     ConfigError naming the config key."""
@@ -363,9 +403,11 @@ def run(cfg: ScenarioConfig) -> MetricsSummary:
                         video_deadline=cfg.video_deadline_ms,
                         history_window=cfg.history_window)
                for _ in range(n)]
-    arrival_trace = (_read_trace("arrival_trace", load_arrival_trace, cfg.arrival_trace, n)
-                     if cfg.arrival_trace else None)
-    sources = [] if arrival_trace is not None else _build_sources(cfg, n)
+    if cfg.arrival_trace:
+        arrivals = _read_trace("arrival_trace", load_arrival_trace, cfg.arrival_trace, n)
+        sources = [[_Replay(rows)] if rows else [] for rows in arrivals]
+    else:
+        sources = _build_sources(cfg, n)
     # (source, its UE's buffer), UE-major in source order: the enqueue order
     feeds = [(src, buffers[ue]) for ue, gen in enumerate(sources) for src in gen]
     if cfg.cqi_trace:
@@ -384,15 +426,11 @@ def run(cfg: ScenarioConfig) -> MetricsSummary:
     drain = flip_drain if cfg.ue_policy == "flip" else strict_priority_drain
 
     for tti in range(cfg.tti_count):
-        if arrival_trace is not None:
-            for ue, cls, size in arrival_trace.get(tti, ()):
-                buffers[ue].enqueue([make_packet(cls, size, tti)])
-        else:
-            for src, buf in feeds:
-                if src.due <= tti:
-                    pkts = src.step(tti)
-                    if pkts:
-                        buf.enqueue(pkts)
+        for src, buf in feeds:
+            if src.due <= tti:
+                pkts = src.step(tti)
+                if pkts:
+                    buf.enqueue(pkts)
         dropped = 0
         critical = np.zeros(n, dtype=np.int64)
         for ue, buf in enumerate(buffers):

@@ -146,6 +146,53 @@ def test_an_out_path_that_cannot_be_a_directory_is_named(tmp_path, capsys, comma
     assert taken.read_text() == ""
 
 
+_CSV_CASES = [("run", [], "run_dham_strict_seed1.csv"),
+              ("run", ["--trace"], "trace_dham_strict_seed1.csv"),
+              ("sweep", ["--points", "1", "--seeds", "1"], "sweep_dham_strict.csv")]
+
+
+@pytest.mark.parametrize("command, extra, name", _CSV_CASES)
+def test_a_csv_that_cannot_be_written_is_named_before_the_run(tmp_path, capsys, monkeypatch,
+                                                              command, extra, name):
+    # a directory at the CSV's path let the whole scenario run, then ended
+    # in an IsADirectoryError traceback from write_summary_csv
+    import ulsched.cli as cli
+    monkeypatch.setattr(cli, command, lambda *a, **k: pytest.fail("the scenario ran"))
+    (tmp_path / name).mkdir()
+    assert main([command, "--ttis", "20", "--out", str(tmp_path), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / name} cannot be written: Is a directory\n"
+
+
+@pytest.mark.parametrize("command, extra, name", _CSV_CASES[::2])  # each command's first CSV
+def test_a_csv_the_process_may_not_write_is_named_before_the_run(tmp_path, capsys, monkeypatch,
+                                                                 command, extra, name):
+    # os.access stands in for a read-only --out directory, which root may write
+    import ulsched.cli as cli
+    monkeypatch.setattr(cli, command, lambda *a, **k: pytest.fail("the scenario ran"))
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: path != tmp_path)
+    assert main([command, "--ttis", "20", "--out", str(tmp_path), *extra]) == 1
+    assert capsys.readouterr().err == (f"error: {tmp_path / name} cannot be written: "
+                                       "Permission denied\n")
+
+
+@pytest.mark.parametrize("command, extra, name", _CSV_CASES)
+def test_a_csv_that_fails_on_write_is_named(tmp_path, capsys, monkeypatch, command, extra, name):
+    # the path turns into a directory while the scenario runs
+    import ulsched.cli as cli
+    scenario = getattr(cli, command)
+
+    def then_block(*args, **kwargs):
+        out = scenario(*args, **kwargs)
+        (tmp_path / name).mkdir()
+        return out
+
+    monkeypatch.setattr(cli, command, then_block)
+    assert main([command, "--ttis", "20", "--out", str(tmp_path), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / name} cannot be written: Is a directory\n"
+
+
 def test_run_writes_csv_and_is_repeatable(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

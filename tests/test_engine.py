@@ -10,13 +10,15 @@ from hypothesis import example, given, settings, strategies as st
 from ulsched.engine import (
     ConfigError,
     ScenarioConfig,
+    _Replay,
     deploy,
     run,
     sweep,
     validate,
 )
 from ulsched.channel import load_cqi_trace
-from ulsched.traffic import DATA, VIDEO, VOICE
+from ulsched.metrics import summary_row
+from ulsched.traffic import CLASSES, DATA, NEVER, VIDEO, VOICE
 
 FAST = dict(tti_count=400, n_ues=8,
             loads_mbps={VOICE: 1.0, VIDEO: 0.5, DATA: 0.5})
@@ -303,6 +305,34 @@ def test_validate_rejects_wrongly_typed_values():
                                            voice_params=dict(default["voice_params"],
                                                              packet_bytes=np.int64(40),
                                                              talk_mean_ms=3000))))
+
+
+def test_validate_bounds_the_mean_ppp_ue_count(tmp_path, capsys):
+    # 1e300 per km2 ended `ulsched run` with numpy's "lam value too large",
+    # naming no key, and 1e7 per km2 passed: about 2.6M UEs over the default
+    # cell disc. The mean count may reach the 65,523 usable C-RNTIs; a fixed
+    # deployment does not read the intensity.
+    from ulsched.cli import main
+    from ulsched.engine import _disc_km2
+    limit = 0xFFF3 / _disc_km2(ScenarioConfig().channel)
+    for intensity in (1e300, 1e7, limit * 1.001):
+        bad = ScenarioConfig(ue_mode="ppp", ppp_intensity_per_km2=intensity, tti_count=5)
+        for check in (validate, run):
+            with pytest.raises(ConfigError, match="^ppp_intensity_per_km2 must be a finite real "
+                                                  "number > 0 whose mean UE count"):
+                check(bad)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"ue_mode": "ppp", "ppp_intensity_per_km2": 1e300, "tti_count": 5}')
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ppp_intensity_per_km2 must be ")
+    validate(ScenarioConfig(ue_mode="ppp", ppp_intensity_per_km2=limit * 0.999))
+    validate(ScenarioConfig(ppp_intensity_per_km2=1e300))
+    # a smaller cell takes a denser deployment
+    small = replace(ScenarioConfig().channel, inter_site_distance_m=100.0)
+    validate(ScenarioConfig(ue_mode="ppp", ppp_intensity_per_km2=limit * 2, channel=small))
+    s = run(ScenarioConfig(policy="darts", ue_mode="ppp", ppp_intensity_per_km2=2000.0,
+                           tti_count=5))
+    assert s.n_ues > 400 and s.conservation_ok
 
 
 def test_validate_rejects_nonpositive_min_ue_distance():
@@ -626,6 +656,53 @@ def test_arrival_trace_fixture_run(tmp_path):
     s = run(cfg)
     assert s.total_arrived == 100 * 3 * 50
     assert s.conservation_ok
+
+
+def _replay_row(cfg, arrivals, path):
+    path.write_text("".join(f"{t} {ue} {cls} {size}\n" for t, ue, cls, size in arrivals))
+    s = run(replace(cfg, arrival_trace=str(path)))
+    return summary_row(s, cfg.policy, cfg.ue_policy, cfg.seed, cfg.loads_mbps)
+
+
+@pytest.mark.parametrize("ue_policy", ["strict", "flip"])
+@pytest.mark.parametrize("policy", ["dham", "darts", "dafs"])
+def test_replay_does_not_depend_on_the_order_of_trace_lines(tmp_path, policy, ue_policy):
+    # each UE has its own buffer, so only a UE's order within a TTI matters;
+    # up to three packets per UE and TTI, on 10 UEs and 8 RCs with short
+    # deadlines, so the drains and the deadline drops see the order
+    rng = np.random.default_rng(9)
+    arrivals = [(t, ue, CLASSES[int(rng.integers(3))], int(rng.integers(1, 900)))
+                for t in range(150) for ue in range(10) for _ in range(int(rng.integers(0, 4)))]
+    order = [arrivals[i] for i in rng.permutation(len(arrivals))]
+    groups = {}
+    for line in arrivals:
+        groups.setdefault(line[:2], []).append(line)
+    shuffled = [groups[line[:2]].pop(0) for line in order]
+    assert shuffled != arrivals and sorted(shuffled, key=lambda x: x[:2]) == arrivals
+    cqi = tmp_path / "cqi.txt"
+    cqi.write_text("".join(" ".join(map(str, rng.integers(1, 16, size=80))) + "\n"
+                           for _ in range(150)))
+    cfg = ScenarioConfig(policy=policy, ue_policy=ue_policy, seed=5, tti_count=150, n_ues=10,
+                         voice_deadline_ms=6, video_deadline_ms=9, cqi_trace=str(cqi))
+    want = _replay_row(cfg, arrivals, tmp_path / "sorted.txt")
+    assert want["voice_dropped_pkts"] + want["video_dropped_pkts"] > 0
+    assert _replay_row(cfg, shuffled, tmp_path / "shuffled.txt") == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 30), st.sampled_from(CLASSES),
+                               st.integers(1, 1500)), max_size=25).map(
+                                   lambda rows: sorted(rows, key=lambda r: r[0])))
+def test_replay_source_keeps_the_due_contract(rows):
+    # stepping every TTI or only at `due` yields the trace's rows, stamped
+    # with their own TTI, in order; after the last row the source is NEVER due
+    for only_due in (False, True):
+        src, got = _Replay(rows), []
+        for t in range(32):
+            if only_due and src.due > t:
+                continue
+            got += [(p.arrival_tti, p.cls, p.size) for p in src.step(t)]
+        assert got == rows and src.due == NEVER
 
 
 def test_sweep_cardinality_and_monotone_arrivals():

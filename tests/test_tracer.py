@@ -77,7 +77,9 @@ def test_benchmark_darts_grid_runs_on_this_tree(monkeypatch):
 
 def test_replay_workload_runs_under_the_tracer(tmp_path):
     """`surplus_dham_replay` writes its traces with `CqiSource` by keyword
-    and is the only workload that takes the engine's replay branch."""
+    and is the only workload whose arrivals are replayed. Its packets pass
+    through the engine's `make_packet` binding, so their time is arrival
+    time, not engine self time, and the arrival trace is parsed once."""
     workloads = _load_perfbench("workloads")
     wl = dataclasses.replace(workloads.WORKLOADS["surplus_dham_replay"], tti_count=200)
     seed = workloads.sub_seed(1, 0)
@@ -92,3 +94,5 @@ def test_replay_workload_runs_under_the_tracer(tmp_path):
     assert tracer.failures == []
     assert set(tracer.absent) <= {"traffic.compute_urgency"}
     assert summary.conservation_ok and summary.tti_count == 200
+    assert tracer.stat(0, "traffic.make_packet") > 0
+    assert tracer.stat(0, "traffic.load_arrival_trace") == 1

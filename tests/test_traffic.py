@@ -1,11 +1,13 @@
-"""Traffic model tests: samplers, sources, buffer discipline, deadline drops
-and critical bytes."""
+"""Traffic model tests: samplers, sources, buffer discipline, deadline drops,
+critical bytes and arrival-trace parsing."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import ulsched.traffic as traffic
 from ulsched.traffic import (
+    CLASSES,
     DATA,
     NEVER,
     DataSource,
@@ -16,6 +18,7 @@ from ulsched.traffic import (
     VOICE,
     VideoSource,
     VoiceSource,
+    load_arrival_trace,
     make_packet,
     truncated_pareto_mean,
     truncated_pareto_sample,
@@ -439,3 +442,111 @@ def test_conservation_identity_random_traffic():
             strict_priority_drain(buf, int(rng.integers(0, 900)), tti)
         assert buf.conservation_holds()
     assert buf.total == sum(buf.occupancy.values())
+
+
+# ---------------------------------------------------------------------------
+# arrival traces
+# ---------------------------------------------------------------------------
+
+# Mostly clean files, some with one spoilt token or line: numpy's parser and
+# int() or str.split could disagree on signs, `_`, `#`, NULs, non-ASCII
+# digits, ints past int64, odd blanks, class tokens numpy cuts to six
+# characters or strips of trailing NULs. `_read_arrival_lines` is the
+# reference load_arrival_trace must match.
+def _int(lo, hi):
+    return st.one_of(st.integers(lo, hi).map(str),
+                     st.integers(lo, hi).map(lambda v: f"+{v}"),
+                     st.integers(lo, hi).map(lambda v: f"0{v}"))
+
+
+_ODD = st.one_of(st.integers(-3, 0).map(str), st.integers(2 ** 62, 2 ** 70).map(str),
+                 st.just("-0"), st.text("0123456789+-_#\x00\u0667", min_size=1, max_size=4),
+                 st.sampled_from(["voiceX", "voiceXYZ", "videos", "voice\x00", "data\x00\x00",
+                                  "#data", "Voice", "dat"]),
+                 st.text("voicedat#\x00", min_size=1, max_size=8))
+_BLANK = " \t\x0b\x0c\x1c\x85\u2028\u3000"
+
+
+@st.composite
+def _arrival_texts(draw):
+    n_ues = draw(st.integers(0, 4))
+    spoil = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        tokens = [draw(_int(0, 6)), draw(_int(0, max(n_ues - 1, 0))),
+                  draw(st.sampled_from(CLASSES)), draw(_int(1, 1500))]
+        if spoil and draw(st.integers(0, 2)) == 0:
+            how = draw(st.integers(0, 4))
+            if how < 3:  # half of them at the range edges: -1, 0 and n_ues
+                edge = st.sampled_from(["-1", "0", str(n_ues)])
+                tokens[draw(st.integers(0, 3))] = draw(edge if draw(st.booleans()) else _ODD)
+            elif how == 3:
+                tokens = draw(st.lists(_ODD, max_size=6))
+            else:
+                tokens[0] = "#" + tokens[0]
+        body = "".join(draw(st.text(_BLANK, min_size=1, max_size=2)) + t if i else t
+                       for i, t in enumerate(tokens))
+        lines.append(draw(st.text(_BLANK, max_size=2)) + body + draw(st.text(_BLANK, max_size=2)))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = (eol.join(lines) + draw(st.sampled_from(["", eol]))).encode()
+    if spoil and draw(st.integers(0, 9)) == 0:  # undecodable
+        data += b"\xff"
+    return n_ues, data
+
+
+def _arrival_outcome(load, path, n_ues):
+    try:
+        return load(path, n_ues)
+    except (TrafficError, UnicodeDecodeError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_arrival_texts())
+@example(case=(2, b"0 0 voiceX 40\n"))
+@example(case=(2, b"0 0 voice\x00 40\n"))
+@example(case=(2, b"0 0 voice 40\n# 1 0 data 5\n"))
+@example(case=(2, b"0_7 0 voice 40\n"))
+@example(case=(2, "\u0667 0 voice 40\n".encode()))
+@example(case=(2, f"{2 ** 70} 1 voice 40\n3 1 data 5\n".encode()))
+@example(case=(2, b"3 1 voice 40\n0 0 data 5\n3 1 video 7\n1 1 data 9\n3 0 voice 2\n"))
+@example(case=(2, b""))
+@example(case=(2, b"0 0 voice 40\n-1 1 data 5\n"))
+@example(case=(2, b"0 0 voice 40\n0 2 data 5\n"))
+@example(case=(2, b"0 0 voice 40\n0 -1 data 5\n"))
+@example(case=(2, b"0 0 voice 40\n0 1 data 0\n"))
+@example(case=(2, b"0 0 voice 40\n0 1 Data 5\n"))
+@example(case=(0, b"0 0 voice 40\n"))
+def test_arrival_trace_fast_path_agrees_with_the_line_reader(tmp_path_factory, case):
+    n_ues, data = case
+    path = tmp_path_factory.mktemp("trace") / "arrivals.txt"
+    path.write_bytes(data)
+    want = _arrival_outcome(traffic._read_arrival_lines, path, n_ues)
+    assert _arrival_outcome(load_arrival_trace, path, n_ues) == want
+
+
+def test_arrival_trace_rows_go_to_their_ue_in_tti_then_file_order(tmp_path):
+    path = tmp_path / "arrivals.txt"
+    path.write_text("3 1 voice 40\n0 0 data 5\n3 1 video 7\n1 1 data 9\n3 0 voice 2\n")
+    assert load_arrival_trace(path, 3) == [
+        [(0, DATA, 5), (3, VOICE, 2)],
+        [(1, DATA, 9), (3, VOICE, 40), (3, VIDEO, 7)],
+        []]
+
+
+def test_clean_arrival_trace_takes_the_fast_path(tmp_path, monkeypatch):
+    # a change that quietly sends every file down the line reader fails here
+    rng = np.random.default_rng(8)
+    lines = [f"{tti} {ue} {CLASSES[int(rng.integers(3))]} {int(rng.integers(1, 1500))}"
+             for tti in range(2000) for ue in range(12) if rng.random() < 0.4]
+    path = tmp_path / "arrivals.txt"
+    path.write_text("\n".join(rng.permutation(lines)) + "\n")
+    want = traffic._read_arrival_lines(path, 12)
+
+    def no_line_reader(*args):
+        raise AssertionError("a clean trace reached the line reader")
+
+    monkeypatch.setattr(traffic, "_read_arrival_lines", no_line_reader)
+    got = load_arrival_trace(path, 12)
+    assert got == want and sum(map(len, got)) == len(lines)
+    assert all(cls in CLASSES for rows in got for _, cls, _ in rows)

@@ -5,17 +5,17 @@ solve(rewards, penalty) matches min(n, m) (row, column) pairs of an integer
 reward matrix and charges every unmatched row its penalty: dham is the case
 penalty = 0, darts passes the imminent-drop bytes k, and the surplus rounds
 (fewer rows than columns) solve only their real rows, the zero-reward dummy
-users that would square them entering through their implied duals. It is
-built on Jonker-Volgenant shortest augmenting paths (1987) and one tie
-rule: among optimal solutions the lexicographically smallest column vector
-wins, an unmatched row ordering last, which an alternating-path search
-over the optimum's tight cells (_lexi_cascade) enforces. With more rows
-than columns only the candidate rows are solved, those reaching some
-column's m-th best folded reward; no optimum matches any other row. With
-at most as many rows as columns a row-max greedy runs first, and when it
-completes its matching is the tie-rule answer without any dual (see
-solve). Inputs must be integers; anything else raises AssignmentError
-instead of being truncated.
+users that would square them entering through their implied duals. One tie
+rule holds: among optimal solutions the lexicographically smallest column
+vector wins, an unmatched row ordering last. A row-max certificate runs
+first in both regimes: the min(n, m) rows with the largest folded row
+maxima take their lowest free row-max columns, and when each finds one that
+is the tie-rule answer without any dual (see solve). Otherwise Jonker-Volgenant
+shortest augmenting paths (1987) solve it and an alternating-path search
+over the optimum's tight cells (_lexi_cascade) enforces the tie rule; with
+more rows than columns only the candidate rows are solved, those reaching
+some column's m-th best folded reward. Inputs must be integers; anything
+else raises AssignmentError instead of being truncated.
 
 pad_with_zero_dummies and replicate_penalty_dummies build the literal square
 problems the core is equivalent to, and brute_force_assignment solves them
@@ -198,20 +198,20 @@ def _lexi_cascade(tight, may_exit, row_of_col, rows):
     return col_of_row
 
 
-def _row_max_greedy(rows, tops):
+def _row_max_greedy(rows):
     """Rows (lists) in order each take their lowest-indexed free column
-    holding the row's maximum, tops[i]. Returns (col_of_row, sum of the row
-    maxima), or None as soon as a row finds no such column (see solve)."""
+    holding the row's maximum. Returns (col_of_row, sum of the row maxima),
+    or None as soon as a row finds no such column (see solve)."""
     cols = []
-    for row, top in zip(rows, tops):
+    for row in rows:
+        top = max(row)
         j = row.index(top)
-        try:
-            while j in cols:
-                j = row.index(top, j + 1)
-        except ValueError:
-            return None
+        while j in cols:
+            if top not in row[j + 1:]:
+                return None
+            j = row.index(top, j + 1)
         cols.append(j)
-    return cols, sum(tops)
+    return cols, sum(map(max, rows))
 
 
 def solve(rewards, penalty=None):
@@ -222,29 +222,34 @@ def solve(rewards, penalty=None):
     Tie rule: among optimal solutions, the lexicographically smallest column
     vector, an unmatched row ordering after every column - exactly what
     replicate_penalty_dummies (n > m) or zero dummy rows (n < m) followed by
-    a square solve give. With more rows than columns the penalty folds into
-    the rewards: a square problem whose n - m dummy columns all hold -k_i
-    equals rewards + k with every column matched, so the transposed m x n
-    problem is solved directly. Otherwise the row-max greedy is tried
-    first; its complete result is exact, for four reasons:
-    - its value is the sum of the row maxima, an upper bound on any
-      matching, so it is optimal;
-    - every optimum must then give each row one of its row-max columns;
-    - each greedy step takes the smallest such column left by the earlier
-      rows, and the greedy completes, so its result is the
-      lexicographically smallest optimum;
-    - the zero-reward dummy rows order after the real rows, so they cannot
-      change the real rows' part.
-    The argument uses no dual, so its answer does not rest on the search
-    in _lexi_cascade. When a row finds no free row-max column,
-    only the n real rows are solved by _jv_min; the m - n zero-reward
-    dummy rows of the square problem get dual 0 and sit on the columns the
-    real rows leave free.
+    a square solve give. With n > m the penalty folds into the rewards: the
+    square problem with n - m dummy columns of -k_i equals f = rewards + k
+    with every column matched, minus sum(k); with n <= m, f = rewards.
 
-    The first case solves only the candidate rows: those whose folded reward
-    reaches the m-th best of at least one column, ties included (at least m
-    rows, kept in their order); every other row is unmatched. This changes
-    no result, for three reasons:
+    Let t_i be row i's maximum of f and S the min(n, m) rows with the
+    largest t_i, the earlier row first on ties. First the rows of S take,
+    in row order, their lowest free column holding t_i (_row_max_greedy).
+    If each finds one, that matching is exact, for four reasons:
+    - a solution matches min(n, m) rows, each adding at most its t_i, so
+      the sum over S bounds every objective, and the greedy meets it;
+    - every optimum then matches each row above tau, the smallest t_i in
+      S, and as many rows at tau as S holds, each on a row-max column;
+    - at the first row where an optimum differs from the greedy, one that
+      seats the row on a smaller column needs a free row-max column there,
+      which the greedy would have taken; one that leaves it unmatched is
+      lexicographically larger; one that matches a row the greedy left out
+      matches a row below tau, or one row at tau too many;
+    - with n < m the zero-reward dummy rows order after the real rows.
+    The argument uses no dual, so the answer does not rest on _lexi_cascade
+    and keeps the tie rule where that search breaks it (ROADMAP item 2).
+
+    Otherwise, with n <= m, _jv_min solves the n real rows; the m - n
+    zero-reward dummy rows get dual 0 and sit on the columns the real rows
+    leave free. With n > m the transposed m x n problem is solved on the
+    candidate rows only: those whose folded reward reaches the m-th best of
+    at least one column, ties included (at least m rows, kept in their
+    order); every other row is unmatched. This changes no result, for three
+    reasons:
     - a row below the m-th best of column c holds c in no optimum: of the m
       rows strictly better on c at least one is free, and a swap would gain;
     - _jv_min's matching after each column is optimal for the columns so
@@ -269,27 +274,32 @@ def solve(rewards, penalty=None):
         return [-1] * n, -int(k.sum())
     if n > m:
         folded = r + k[:, None]
-        # only rows reaching some column's m-th best can be matched in an optimum
-        mth = np.partition(folded, n - m, axis=0)[n - m]
-        keep = (folded >= mth).any(1).nonzero()[0]
+        # S: the m rows with the largest maxima, the earlier row first on ties
+        best = (-folded.max(axis=1)).argsort(kind="stable")[:m]
+        best.sort()
+        if (certified := _row_max_greedy(folded.take(best, 0).tolist())) is not None:
+            cols = [-1] * n
+            for i, c in zip(best.tolist(), certified[0]):
+                cols[i] = c
+            return cols, certified[1] - sum(k.tolist())
+        # only rows reaching some column's m-th best can be in an optimum
+        ranks = np.sort(folded, axis=0)
+        top = ranks[n - 1]
+        keep = (folded >= ranks[n - m]).any(1).nonzero()[0]
         folded = folded[keep] if len(keep) < n else folded
-        top = folded.max(axis=0)
         cost = (top - folded).T  # (m, n'): columns take rows
-        cost_rows = cost.tolist()
-        row_of_col, u, v = _jv_min(cost_rows, m, len(keep))
+        row_of_col, u, v = _jv_min(cost.tolist(), m, len(keep))
         tight = (cost - np.array(v) == np.array(u)[:, None]).tolist()
         kept = _lexi_cascade(tight, [x == 0 for x in v], row_of_col, len(keep))
         cols = [-1] * n
         for i, c in zip(keep.tolist(), kept):
             cols[i] = c
-        # every column is held: sum(top) - the held costs = matched r + matched k
-        held = sum(cost_rows[c][j] for j, c in enumerate(kept) if c >= 0)
-        return cols, sum(top.tolist()) - held - sum(k.tolist())
+        # every column is held, at cost sum(u) + sum(v) (v = 0 on free rows)
+        return cols, sum(top.tolist()) - sum(u) - sum(v) - sum(k.tolist())
     rows = r.tolist()
-    top = r.max(axis=1)
-    if (certified := _row_max_greedy(rows, top.tolist())) is not None:
+    if (certified := _row_max_greedy(rows)) is not None:
         return certified
-    cost = top[:, None] - r
+    cost = r.max(axis=1)[:, None] - r
     col_of, u, v = _jv_min(cost.tolist(), n, m)
     # dummy rows (cost 0, dual 0) are tight exactly where v = 0, a set
     # that holds every column the real rows left free

@@ -167,7 +167,9 @@ def _list_of(ok, what):
             f"a non-empty list of {what}")
 
 
-_MAX_PPP_MEAN_UES = 0xFFF3
+# a cell addresses its UEs by 16-bit C-RNTIs, of which 0x0001-0xFFF3 are
+# usable (3GPP TS 36.321, Table 7.1-1)
+_MAX_UES = 0xFFF3
 
 
 def _disc_km2(ch: ChannelConfig) -> float:
@@ -188,7 +190,9 @@ _RULES = (
     ("policy", *_one_of(POLICIES)),
     ("ue_policy", *_one_of(("strict", "flip"))),
     ("ue_mode", *_one_of(("fixed", "ppp"))),
-    *((key, *_int(">=", 0)) for key in ("seed", "n_ues")),
+    ("seed", *_int(">=", 0)),
+    ("n_ues", lambda v, cfg: _is_int(v) and v >= 0 and (cfg.ue_mode != "fixed" or v <= _MAX_UES),
+     f"an integer >= 0, and <= {_MAX_UES} with ue_mode fixed"),
     *((key, *_int(">=", 1)) for key in ("tti_count", "buffer_capacity", "voice_deadline_ms",
                                         "video_deadline_ms", "history_window")),
     ("buffer_threshold", lambda v, cfg: _is_int(v) and 0 <= v < cfg.buffer_capacity,
@@ -215,13 +219,12 @@ _RULES = (
                      and cfg.channel.min_ue_distance_m <= cfg.channel.cell_radius_m <= 100e3),
      "a finite real number whose cell radius ISD/sqrt(3) is >= channel.min_ue_distance_m "
      "and <= 100 km"),
-    # the mean of deploy's Poisson UE count; a cell addresses its UEs by 16-bit
-    # C-RNTIs, of which 0x0001-0xFFF3 are usable (3GPP TS 36.321, Table 7.1-1)
+    # the mean of deploy's Poisson UE count, bounded like a fixed count
     ("ppp_intensity_per_km2",
      lambda v, cfg: _is_real(v) and v > 0 and (
-         cfg.ue_mode != "ppp" or v * _disc_km2(cfg.channel) <= _MAX_PPP_MEAN_UES),
+         cfg.ue_mode != "ppp" or v * _disc_km2(cfg.channel) <= _MAX_UES),
      f"a finite real number > 0 whose mean UE count over the cell disc, with ue_mode "
-     f"ppp, is <= {_MAX_PPP_MEAN_UES}"),
+     f"ppp, is <= {_MAX_UES}"),
     ("channel.fast_fading", *_FLAG),
     ("channel.cqi_thresholds_db",
      lambda v, cfg: (isinstance(v, (list, tuple)) and len(v) == 15

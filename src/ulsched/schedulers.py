@@ -149,7 +149,7 @@ def dispatch(policy: str, W: TrafficMatrixW, k=None, k_current=None) -> Schedule
     min(w_ij, 2 w_ij - k_current_i). Each such user gets at most one RC."""
     if policy not in POLICIES:
         raise SchedulerError(f"unknown policy {policy!r}")
-    n, m = W.n_ues, W.n_rcs
+    n, m = W.w.shape
     if policy == "dham":
         k = k_current = None
     k = _k_vector(k, n)
@@ -157,8 +157,10 @@ def dispatch(policy: str, W: TrafficMatrixW, k=None, k_current=None) -> Schedule
     active = (W.b > 0).nonzero()[0]
     if len(active) < m:
         return schedule_iterative_surplus(W, k)
-    w = W.w.take(active, 0)
-    cols, obj = solve(np.minimum(w, 2 * w - k_current.take(active)[:, None]), k.take(active))
+    rewards = np.minimum(W.w, 2 * W.w - k_current[:, None])
+    if len(active) < n:
+        rewards, k = rewards.take(active, 0), k.take(active)
+    cols, obj = solve(rewards, k)
     rc_to_ue = [None] * m
     ue_rcs = [()] * n
     grants = [0] * n

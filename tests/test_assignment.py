@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from ulsched import assignment
+from ulsched import assignment, schedulers
 from ulsched.assignment import (
     AssignmentError,
     _jv_min,
@@ -492,31 +492,63 @@ def _home_calls(cascade, args):
     return out, calls
 
 
-def test_cascade_searches_each_column_at_most_once_per_row(monkeypatch):
-    # dense_darts' scenario at 100 TTIs: each row marks a column seen before
-    # every home call, so a cascade makes at most rows * m of them
-    captured = []
-    cascade = assignment._lexi_cascade
+@pytest.fixture(scope="module")
+def dense_run():
+    """dense_darts' scenario (seed 101) at 400 TTIs with every penalty
+    decision observed: the cascade inputs it reached, and per penalty solve
+    whether _jv_min ran. The row-max certificate settles most decisions, so
+    100 TTIs (53 cascades) are too few to keep 100 cascade inputs."""
+    captured, jv_ran = [], []
+    cascade, jv, schedulers_solve = assignment._lexi_cascade, assignment._jv_min, schedulers.solve
+    calls = []
 
     def capture(tight, may_exit, row_of_col, rows):
         captured.append(([t[:] for t in tight], may_exit[:], row_of_col[:], rows))
         return cascade(tight, may_exit, row_of_col, rows)
 
-    monkeypatch.setattr(assignment, "_lexi_cascade", capture)
-    run(ScenarioConfig.from_dict({
-        "policy": "darts", "ue_policy": "strict", "n_ues": 100, "seed": 101,
-        "tti_count": 100, "channel": {"prb_per_rc": 3},
-        "loads_mbps": {"voice": 16.0, "video": 4.0, "data": 4.0}}))
-    assert len(captured) == 100
+    def counting(*args):
+        calls.append(True)
+        return jv(*args)
+
+    def observed(rewards, penalty=None):
+        before = len(calls)
+        out = schedulers_solve(rewards, penalty)
+        if np.shape(rewards)[0] > np.shape(rewards)[1]:
+            jv_ran.append(len(calls) > before)
+        return out
+
+    with mock.patch.object(assignment, "_lexi_cascade", capture), \
+            mock.patch.object(assignment, "_jv_min", counting), \
+            mock.patch.object(schedulers, "solve", observed):
+        run(ScenarioConfig.from_dict({
+            "policy": "darts", "ue_policy": "strict", "n_ues": 100, "seed": 101,
+            "tti_count": 400, "channel": {"prb_per_rc": 3},
+            "loads_mbps": {"voice": 16.0, "video": 4.0, "data": 4.0}}))
+    return captured, jv_ran
+
+
+def test_cascade_searches_each_column_at_most_once_per_row(dense_run):
+    # each row marks a column seen before every home call, so a cascade
+    # makes at most rows * m of them
+    captured, _ = dense_run
+    assert len(captured) >= 100
     over_bound = 0
     for tight, may_exit, row_of_col, rows in captured:
         bound = rows * len(tight)
-        got, calls = _home_calls(cascade, (tight, may_exit, row_of_col[:], rows))
+        got, calls = _home_calls(_lexi_cascade, (tight, may_exit, row_of_col[:], rows))
         want, per_try_calls = _home_calls(_per_try_cascade, (tight, may_exit, row_of_col[:], rows))
         assert got == want
         assert calls <= bound, (calls, bound)
         over_bound += per_try_calls > bound
     assert over_bound > 0   # the bound tells the two searches apart here
+
+
+def test_most_dense_penalty_decisions_skip_jv(dense_run):
+    # the row-max certificate settles the penalty regime without a dual on
+    # most decisions of this scenario (134 of 400 reach _jv_min)
+    _, jv_ran = dense_run
+    assert len(jv_ran) == 400   # every TTI is one penalty decision here
+    assert sum(jv_ran) < len(jv_ran) / 2, sum(jv_ran)
 
 
 # ---------------------------------------------------------------------------
@@ -566,21 +598,49 @@ def test_reduction_keeps_the_penalty_path_where_it_breaks_the_tie_rule(rewards, 
     assert solve(r, k) == want
 
 
+def _solve_certified(r, k):
+    """solve(r, k), and whether the row-max certificate settled it (no
+    _jv_min call)."""
+    calls = []
+    jv = assignment._jv_min
+
+    def counting(*args):
+        calls.append(True)
+        return jv(*args)
+
+    with mock.patch.object(assignment, "_jv_min", counting):
+        got = solve(r, k)
+    return got, not calls
+
+
+def _check_reduction_case(r, k):
+    """Where the certificate fails the pruned path must equal the unpruned
+    one; where it completes, the tie rule itself (the unpruned path keeps
+    ROADMAP item 2's bug, which the certificate does not share)."""
+    got, certified = _solve_certified(r, k)
+    assert got == (_lexi_oracle(r, k) if certified else _unpruned_penalty_solve(r, k))
+    return certified
+
+
 def test_reduction_matches_the_unpruned_penalty_path_seeded():
     rng = np.random.default_rng(1212)
+    reached = [0, 0]   # [pruned JV path, certificate]
     for trial in range(800):
         m = int(rng.integers(1, 9))
         n = int(rng.integers(m + 1, m + 12))
         r, k = _tie_heavy_penalty_case(rng, m, n, flat=trial % 2 == 1)
-        assert solve(r, k) == _unpruned_penalty_solve(r, k), trial
+        try:
+            reached[_check_reduction_case(r, k)] += 1
+        except AssertionError:
+            raise AssertionError(f"trial {trial}") from None
+    assert min(reached) >= 200, reached
 
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 8), extra=st.integers(1, 20),
        flat=st.booleans())
 def test_reduction_matches_the_unpruned_penalty_path(seed, m, extra, flat):
-    r, k = _tie_heavy_penalty_case(np.random.default_rng(seed), m, m + extra, flat)
-    assert solve(r, k) == _unpruned_penalty_solve(r, k)
+    _check_reduction_case(*_tie_heavy_penalty_case(np.random.default_rng(seed), m, m + extra, flat))
 
 
 def test_rows_below_every_mth_best_change_nothing_else():
@@ -623,8 +683,10 @@ def _solved_row_counts(monkeypatch):
 
 def test_reduction_keeps_ties_at_the_mth_best(monkeypatch):
     seen = _solved_row_counts(monkeypatch)
-    # the 2nd best of both columns is 1, held by rows 2 and 3 alike
-    r = np.array([[0, 0], [5, 5], [1, 1], [1, 1], [0, 0]])
+    # the 2nd best of both columns is held by rows 2 and 3 alike; rows 1
+    # and 2, the two best maxima, both peak on column 0, so the certificate
+    # fails and the pruned problem is solved
+    r = np.array([[0, 0], [5, 4], [2, 1], [2, 1], [0, 0]])
     assert solve(r, [0] * 5) == ([-1, 0, 1, -1, -1], 6)
     assert solve(r, [0] * 5) == _lexi_oracle(r, np.zeros(5, np.int64))
     assert seen[-1] == 3
@@ -632,9 +694,10 @@ def test_reduction_keeps_ties_at_the_mth_best(monkeypatch):
 
 def test_reduction_down_to_exactly_m_rows(monkeypatch):
     seen = _solved_row_counts(monkeypatch)
-    r = np.array([[9, 8], [8, 9], [1, 1], [0, 0]])
+    # rows 0 and 1 both peak only on column 0: the certificate fails
+    r = np.array([[9, 8], [9, 7], [1, 1], [0, 0]])
     k = np.array([0, 0, 3, 1])
-    assert solve(r, k) == ([0, 1, -1, -1], 14)
+    assert solve(r, k) == ([1, 0, -1, -1], 13)
     assert solve(r, k) == _lexi_oracle(r, k)
     assert seen[-1] == 2
 
@@ -713,4 +776,81 @@ def test_a_greedy_conflict_still_runs_jv(monkeypatch):
     seen = _solved_row_counts(monkeypatch)
     # row 0 takes column 0, the only maximum of row 1
     assert solve([[5, 5], [5, 0]]) == ([1, 0], 10)
+    assert len(seen) == 1
+
+
+# ---------------------------------------------------------------------------
+# row-max certificate of the penalty regime
+# ---------------------------------------------------------------------------
+
+def _square_oracle(r, k):
+    """brute_force_assignment on the literal square problem (-k dummy
+    columns for more rows, zero dummy rows for fewer), projected back."""
+    n, m = r.shape
+    if n > m:
+        cols, obj = brute_force_assignment(replicate_penalty_dummies(r, k))
+        return [c if c < m else -1 for c in cols], obj
+    cols, obj = brute_force_assignment(np.vstack([r, np.zeros((m - n, m), r.dtype)]))
+    return cols[:n], obj
+
+
+def _check_certified_case(r, k):
+    got, certified = _solve_certified(r, k)
+    if certified:
+        assert got == (_square_oracle(r, k) if max(r.shape) <= 8 else _lexi_oracle(r, k))
+    return certified
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 14), m=st.integers(1, 10),
+       flat=st.booleans())
+def test_a_completed_certificate_is_the_tie_rule_answer(seed, n, m, flat):
+    # both orientations; levels 0-3 are tie-heavy, flat rows w = min(p, b)
+    # peak on many columns at once
+    _check_certified_case(*_tie_heavy_penalty_case(np.random.default_rng(seed), m, n, flat))
+
+
+def test_a_completed_certificate_is_the_tie_rule_answer_seeded():
+    rng = np.random.default_rng(2525)
+    reached = {"penalty": 0, "surplus": 0}
+    for trial in range(600):
+        n, m = int(rng.integers(1, 15)), int(rng.integers(1, 11))
+        r, k = _tie_heavy_penalty_case(rng, m, n, flat=trial % 2 == 1)
+        try:
+            reached["penalty" if n > m else "surplus"] += _check_certified_case(r, k)
+        except AssertionError:
+            raise AssertionError(f"trial {trial}: {r.tolist()}, {k.tolist()}") from None
+    assert min(reached.values()) >= 100, reached
+
+
+# (rewards, penalty, the cascade's answer): the certificate completes and
+# matches the brute-force tie rule where the unpruned JV path and cascade
+# (ROADMAP item 2) do not
+_CERTIFIED_CASCADE_BUG_PINS = [
+    ([[0, 1, 1], [1, 0, 0], [0, 1, 0], [1, 1, 1]], [0, 0, 0, 1], [2, 0, -1, 1]),
+    ([[1, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]], [0, 0, 0, 1], [2, 1, -1, 0]),
+]
+
+
+@pytest.mark.parametrize("rewards, penalty, cascade_cols", _CERTIFIED_CASCADE_BUG_PINS)
+def test_the_certificate_keeps_the_tie_rule_where_the_cascade_breaks_it(rewards, penalty,
+                                                                       cascade_cols):
+    r, k = np.array(rewards), np.array(penalty)
+    got, certified = _solve_certified(r, k)
+    assert certified
+    assert got == _square_oracle(r, k) == _lexi_oracle(r, k)
+    assert got[1] == 3
+    assert _unpruned_penalty_solve(r, k) == (cascade_cols, 3)
+
+
+def test_flat_penalty_rows_never_reach_jv(monkeypatch):
+    seen = _solved_row_counts(monkeypatch)
+    assert solve(np.full((8, 3), 7), [0] * 8) == ([0, 1, 2, -1, -1, -1, -1, -1], 21)
+    assert seen == []
+
+
+def test_a_penalty_greedy_conflict_still_runs_jv(monkeypatch):
+    seen = _solved_row_counts(monkeypatch)
+    # rows 0 and 1, the two largest maxima, both peak only on column 0
+    assert solve([[5, 0], [5, 0], [0, 0]], [0, 0, 0]) == ([0, 1, -1], 5)
     assert len(seen) == 1

@@ -335,6 +335,28 @@ def test_validate_bounds_the_mean_ppp_ue_count(tmp_path, capsys):
     assert s.n_ues > 400 and s.conservation_ok
 
 
+def test_validate_bounds_a_fixed_ue_count(tmp_path, capsys):
+    # n_ues = 2**40 with zero loads passed validate, and run then ended in
+    # numpy's "Unable to allocate 8.00 TiB" from deploy's first per-UE draw,
+    # naming no key. A fixed count may reach the 65,523 usable C-RNTIs, as
+    # the mean Poisson count may; a Poisson deployment does not read n_ues.
+    from ulsched.cli import main
+    idle = {"voice": 0.0, "video": 0.0, "data": 0.0}
+    for n in (2 ** 40, 0xFFF3 + 1):
+        bad = ScenarioConfig(n_ues=n, tti_count=5, loads_mbps=idle)
+        for check in (validate, run):
+            with pytest.raises(ConfigError, match=f"^n_ues must be an integer >= 0, and <= 65523 "
+                                                  f"with ue_mode fixed, got {n}$"):
+                check(bad)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"n_ues": 1099511627776, "tti_count": 5, '
+                   '"loads_mbps": {"voice": 0.0, "video": 0.0, "data": 0.0}}')
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: n_ues must be ")
+    validate(ScenarioConfig(n_ues=0xFFF3, loads_mbps=idle))
+    validate(ScenarioConfig(n_ues=2 ** 40, ue_mode="ppp"))
+
+
 def test_validate_rejects_nonpositive_min_ue_distance():
     # ISD 0 with a 0 m minimum failed inside path_loss ("distance must be
     # positive", no key named); a 0 m minimum also lets an interferer land at

@@ -110,7 +110,8 @@ def _jv_min(cost_rows, n_rows, n_cols):
                 j0 = j1
         u[i] = best
         p[j0] = i
-    return [p.index(i) for i in range(n_rows)], u, v
+    col_of = dict(zip(p, range(n_cols)))   # free columns all land on key -1
+    return [col_of[i] for i in range(n_rows)], u, v
 
 
 def _lexi_cascade(tight, may_exit, row_of_col, rows):
@@ -198,20 +199,20 @@ def _lexi_cascade(tight, may_exit, row_of_col, rows):
     return col_of_row
 
 
-def _row_max_greedy(rows):
-    """Rows (lists) in order each take their lowest-indexed free column
-    holding the row's maximum. Returns (col_of_row, sum of the row maxima),
-    or None as soon as a row finds no such column (see solve)."""
-    cols = []
-    for row in rows:
-        top = max(row)
-        j = row.index(top)
-        while j in cols:
-            if top not in row[j + 1:]:
-                return None
-            j = row.index(top, j + 1)
-        cols.append(j)
-    return cols, sum(map(max, rows))
+def _row_max_greedy(rows, tops):
+    """Rows (lists) in order take their lowest free column holding tops[i], their
+    maximum, in one scan of the free columns: row i reads at most m - i cells, a
+    flat row one. Returns (col_of_row, sum(tops)), or None at a row finding none."""
+    free, cols = [*range(len(rows[0]))], []
+    for row, top in zip(rows, tops):
+        for j in free:
+            if row[j] == top:
+                free.remove(j)
+                cols.append(j)
+                break
+        else:
+            return None
+    return cols, sum(tops)
 
 
 def solve(rewards, penalty=None):
@@ -228,8 +229,9 @@ def solve(rewards, penalty=None):
 
     Let t_i be row i's maximum of f and S the min(n, m) rows with the
     largest t_i, the earlier row first on ties. First the rows of S take,
-    in row order, their lowest free column holding t_i (_row_max_greedy).
-    If each finds one, that matching is exact, for four reasons:
+    in row order, their lowest free column holding t_i (_row_max_greedy),
+    each scanning the free columns once (one read for a flat row). If each
+    finds one, that matching is exact, for four reasons:
     - a solution matches min(n, m) rows, each adding at most its t_i, so
       the sum over S bounds every objective, and the greedy meets it;
     - every optimum then matches each row above tau, the smallest t_i in
@@ -274,10 +276,12 @@ def solve(rewards, penalty=None):
         return [-1] * n, -int(k.sum())
     if n > m:
         folded = r + k[:, None]
+        t = folded.max(axis=1)
         # S: the m rows with the largest maxima, the earlier row first on ties
-        best = (-folded.max(axis=1)).argsort(kind="stable")[:m]
+        best = (-t).argsort(kind="stable")[:m]
         best.sort()
-        if (certified := _row_max_greedy(folded.take(best, 0).tolist())) is not None:
+        certified = _row_max_greedy(folded.take(best, 0).tolist(), t[best].tolist())
+        if certified is not None:
             cols = [-1] * n
             for i, c in zip(best.tolist(), certified[0]):
                 cols[i] = c
@@ -296,15 +300,15 @@ def solve(rewards, penalty=None):
             cols[i] = c
         # every column is held, at cost sum(u) + sum(v) (v = 0 on free rows)
         return cols, sum(top.tolist()) - sum(u) - sum(v) - sum(k.tolist())
-    rows = r.tolist()
-    if (certified := _row_max_greedy(rows)) is not None:
+    rows, t = r.tolist(), r.max(axis=1)
+    if (certified := _row_max_greedy(rows, t.tolist())) is not None:
         return certified
-    cost = r.max(axis=1)[:, None] - r
+    cost = t[:, None] - r
     col_of, u, v = _jv_min(cost.tolist(), n, m)
     # dummy rows (cost 0, dual 0) are tight exactly where v = 0, a set
     # that holds every column the real rows left free
-    dummies = iter(range(n, m))
-    row_of_col = [col_of.index(c) if c in col_of else next(dummies) for c in range(m)]
+    dummies, held = iter(range(n, m)), dict(zip(col_of, range(n)))
+    row_of_col = [held[c] if c in held else next(dummies) for c in range(m)]
     v = np.array(v)
     tight = np.empty((m, m), bool)
     tight[:, :n] = (cost - np.array(u)[:, None] - v == 0).T

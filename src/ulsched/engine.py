@@ -36,6 +36,7 @@ from .traffic import (
     VoiceSource,
     load_arrival_trace,
     make_packet,
+    truncated_pareto_mean,
     video_fps_for_load,
     voice_interval_for_load,
     voice_talk_share,
@@ -236,11 +237,16 @@ _RULES = (
                                         "data_params.payload_min")),
     *((key, *_int(">=", 0)) for key in ("video_params.min_frame_bytes", "data_params.n_sources")),
     *((key, *_real(">", 0)) for key in ("voice_params.sid_interval_ms", "video_params.size_scale",
-                                        "video_params.ia_scale_ms", "data_params.source_rate_bps",
-                                        "data_params.on_mean_ms")),
+                                        "video_params.ia_scale_ms",
+                                        "data_params.source_rate_bps")),
     *((key, *_real(">", 1)) for key in ("video_params.size_shape", "video_params.ia_shape",
                                         "data_params.on_shape", "data_params.off_shape",
                                         "data_params.cap_factor")),
+    # a period lasts at least its Pareto scale, and DataSource keeps the OFF mean >= the ON mean
+    ("data_params.on_mean_ms", lambda v, cfg: _is_real(v) and v / max(truncated_pareto_mean(
+        1.0, cfg.data_params[s], cfg.data_params["cap_factor"]) for s in ("on_shape", "off_shape"))
+     >= 0.1, "a finite real number >= 0.1 ms times the larger truncated_pareto_mean(1, shape, "
+     "cap_factor) of on_shape and off_shape"),
     *((key, lambda v, cfg: _is_real(v) and (v == 0 or v >= 1),
        "0 (a state never left) or a finite real number >= 1")
       for key in ("voice_params.talk_mean_ms", "voice_params.silence_mean_ms")),

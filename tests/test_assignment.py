@@ -14,6 +14,7 @@ from ulsched.assignment import (
     AssignmentError,
     _jv_min,
     _lexi_cascade,
+    _row_max_greedy,
     brute_force_assignment,
     pad_with_zero_dummies,
     replicate_penalty_dummies,
@@ -495,16 +496,22 @@ def _home_calls(cascade, args):
 @pytest.fixture(scope="module")
 def dense_run():
     """dense_darts' scenario (seed 101) at 400 TTIs with every penalty
-    decision observed: the cascade inputs it reached, and per penalty solve
-    whether _jv_min ran. The row-max certificate settles most decisions, so
-    100 TTIs (53 cascades) are too few to keep 100 cascade inputs."""
-    captured, jv_ran = [], []
+    decision observed: the cascade inputs it reached, per penalty solve
+    whether _jv_min ran, and the (rows, tops) of every row-max certificate.
+    The certificate settles most decisions, so 100 TTIs (53 cascades) are
+    too few to keep 100 cascade inputs."""
+    captured, jv_ran, certificates = [], [], []
     cascade, jv, schedulers_solve = assignment._lexi_cascade, assignment._jv_min, schedulers.solve
+    greedy = assignment._row_max_greedy
     calls = []
 
     def capture(tight, may_exit, row_of_col, rows):
         captured.append(([t[:] for t in tight], may_exit[:], row_of_col[:], rows))
         return cascade(tight, may_exit, row_of_col, rows)
+
+    def certify(rows, tops):
+        certificates.append(([row[:] for row in rows], tops[:]))
+        return greedy(rows, tops)
 
     def counting(*args):
         calls.append(True)
@@ -519,18 +526,19 @@ def dense_run():
 
     with mock.patch.object(assignment, "_lexi_cascade", capture), \
             mock.patch.object(assignment, "_jv_min", counting), \
+            mock.patch.object(assignment, "_row_max_greedy", certify), \
             mock.patch.object(schedulers, "solve", observed):
         run(ScenarioConfig.from_dict({
             "policy": "darts", "ue_policy": "strict", "n_ues": 100, "seed": 101,
             "tti_count": 400, "channel": {"prb_per_rc": 3},
             "loads_mbps": {"voice": 16.0, "video": 4.0, "data": 4.0}}))
-    return captured, jv_ran
+    return captured, jv_ran, certificates
 
 
 def test_cascade_searches_each_column_at_most_once_per_row(dense_run):
     # each row marks a column seen before every home call, so a cascade
     # makes at most rows * m of them
-    captured, _ = dense_run
+    captured, _, _ = dense_run
     assert len(captured) >= 100
     over_bound = 0
     for tight, may_exit, row_of_col, rows in captured:
@@ -546,7 +554,7 @@ def test_cascade_searches_each_column_at_most_once_per_row(dense_run):
 def test_most_dense_penalty_decisions_skip_jv(dense_run):
     # the row-max certificate settles the penalty regime without a dual on
     # most decisions of this scenario (134 of 400 reach _jv_min)
-    _, jv_ran = dense_run
+    _, jv_ran, _ = dense_run
     assert len(jv_ran) == 400   # every TTI is one penalty decision here
     assert sum(jv_ran) < len(jv_ran) / 2, sum(jv_ran)
 
@@ -854,3 +862,116 @@ def test_a_penalty_greedy_conflict_still_runs_jv(monkeypatch):
     # rows 0 and 1, the two largest maxima, both peak only on column 0
     assert solve([[5, 0], [5, 0], [0, 0]], [0, 0, 0]) == ([0, 1, -1], 5)
     assert len(seen) == 1
+
+
+# ---------------------------------------------------------------------------
+# the row-max greedy's single scan
+# ---------------------------------------------------------------------------
+
+def _slicing_row_max_greedy(rows):
+    """The greedy before its single scan: each row takes max(row), then
+    row.index, and a slice test for every column an earlier row took."""
+    cols = []
+    for row in rows:
+        top = max(row)
+        j = row.index(top)
+        while j in cols:
+            if top not in row[j + 1:]:
+                return None
+            j = row.index(top, j + 1)
+        cols.append(j)
+    return cols, sum(map(max, rows))
+
+
+def _tie_heavy_rows(rng, n, m, kind):
+    """n <= m row lists of width m: flat (0), levels 0-1 (1) or 0-3 (2),
+    min(p, b) as _tie_heavy_surplus_case kind 3 builds them (3), or levels
+    0-3 with one row (not the first) whose every maximum an earlier row
+    takes (4)."""
+    if kind == 0:
+        return np.full((n, m), int(rng.integers(0, 1000))).tolist()
+    if kind == 3:
+        return _tie_heavy_surplus_case(rng, n, m, 3)[0].tolist()
+    rows = rng.integers(0, 2 if kind == 1 else 4, size=(n, m)).tolist()
+    if kind == 4 and n > 1:
+        i = int(rng.integers(1, n))
+        # a prefix that already fails keeps failing; column 0 stands in
+        taken = (_slicing_row_max_greedy(rows[:i]) or ([0],))[0]
+        rows[i] = [0] * m
+        for c in rng.choice(taken, size=int(rng.integers(1, len(taken) + 1)), replace=False):
+            rows[i][c] = 3
+    return rows
+
+
+def _check_greedy_case(rows):
+    got = _row_max_greedy(rows, list(map(max, rows)))
+    assert got == _slicing_row_max_greedy(rows)
+    return got is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 16), extra=st.integers(0, 32),
+       kind=st.integers(0, 4))
+def test_the_single_scan_greedy_equals_the_slicing_greedy(seed, n, extra, kind):
+    _check_greedy_case(_tie_heavy_rows(np.random.default_rng(seed), n, n + extra, kind))
+
+
+def test_the_single_scan_greedy_equals_the_slicing_greedy_seeded():
+    rng = np.random.default_rng(2626)
+    completed = [0] * 5
+    for trial in range(1000):
+        n = int(rng.integers(1, 17))
+        rows = _tie_heavy_rows(rng, n, int(rng.integers(n, 49)), trial % 5)
+        try:
+            completed[trial % 5] += _check_greedy_case(rows)
+        except AssertionError:
+            raise AssertionError(f"trial {trial}: {rows}") from None
+    # flat rows always complete; kind 4 only with a single row
+    assert completed[0] == 200 and completed[4] < 200, completed
+    assert all(0 < c < 200 for c in completed[1:4]), completed
+
+
+def test_the_single_scan_greedy_equals_the_slicing_greedy_on_dense_decisions(dense_run):
+    _, _, certificates = dense_run
+    assert len(certificates) >= 400
+    completed = 0
+    for rows, tops in certificates:
+        assert tops == list(map(max, rows))   # solve's numpy maxima
+        completed += _check_greedy_case(rows)
+    assert 0 < completed < len(certificates), completed
+
+
+class _ReadCountingRow(list):
+    """A row that counts the cells read through indexing."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.reads = 0
+
+    def __getitem__(self, j):
+        self.reads += 1
+        return super().__getitem__(j)
+
+
+def test_the_greedy_scans_the_free_columns_once_per_row():
+    # flat rows read their first free column and stop there
+    for n, m in ((1, 1), (3, 8), (16, 16), (16, 48)):
+        rows = [_ReadCountingRow([7] * m) for _ in range(n)]
+        assert _row_max_greedy(rows, [7] * n) == ([*range(n)], 7 * n)
+        assert [row.reads for row in rows] == [1] * n
+    # row i peaking only on column m-1-i reads all m - i free columns
+    m = 12
+    rows = [_ReadCountingRow([0] * (m - 1 - i) + [1] + [0] * i) for i in range(m)]
+    assert _row_max_greedy(rows, [1] * m) == ([*range(m - 1, -1, -1)], m)
+    assert [row.reads for row in rows] == [m - i for i in range(m)]
+    # row i reads at most m - i cells, and rows past a failing row none
+    rng = np.random.default_rng(2727)
+    for trial in range(500):
+        n = int(rng.integers(1, 17))
+        m = int(rng.integers(n, 49))
+        plain = _tie_heavy_rows(rng, n, m, trial % 5)
+        rows = [_ReadCountingRow(row) for row in plain]
+        _row_max_greedy(rows, list(map(max, plain)))
+        last = next((i for i in range(n) if _slicing_row_max_greedy(plain[:i + 1]) is None), n)
+        for i, row in enumerate(rows):
+            assert row.reads <= (m - i if i <= last else 0), (trial, i, row.reads)

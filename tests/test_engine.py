@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import asdict, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from ulsched.engine import (
 )
 from ulsched.channel import load_cqi_trace
 from ulsched.metrics import summary_row
-from ulsched.traffic import CLASSES, DATA, NEVER, VIDEO, VOICE
+from ulsched.traffic import (
+    CLASSES, DATA, NEVER, VIDEO, VOICE, OnOffSource, truncated_pareto_mean)
 
 FAST = dict(tti_count=400, n_ues=8,
             loads_mbps={VOICE: 1.0, VIDEO: 0.5, DATA: 0.5})
@@ -355,6 +357,58 @@ def test_validate_bounds_a_fixed_ue_count(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: n_ues must be ")
     validate(ScenarioConfig(n_ues=0xFFF3, loads_mbps=idle))
     validate(ScenarioConfig(n_ues=2 ** 40, ue_mode="ppp"))
+
+
+def _data_params_scaled(on_shape, off_shape, cap_factor, factor):
+    """data_params whose on_mean_ms is `factor` times the smallest that
+    validate accepts for these shapes and cap_factor."""
+    e = max(truncated_pareto_mean(1.0, s, cap_factor) for s in (on_shape, off_shape))
+    return dict(ScenarioConfig().data_params, on_mean_ms=0.1 * e * factor, on_shape=on_shape,
+                off_shape=off_shape, cap_factor=cap_factor)
+
+
+def test_validate_bounds_the_on_off_periods():
+    # on_mean_ms = 1e-12 passed validate and then split every TTI into
+    # on/off periods of about 1e-12 ms: 60 TTIs over 6 UEs did not finish
+    # in 25 s. Each period lasts at least its Pareto scale, the mean over
+    # truncated_pareto_mean(1, shape, cap_factor), so both scales must be
+    # >= 0.1 ms; a bound on on_mean_ms alone lets shapes near 1 with a large
+    # cap_factor shrink them toward 0.
+    cfg = ScenarioConfig(policy="dham", n_ues=6, tti_count=60)
+    for data in (dict(cfg.data_params, on_mean_ms=1e-12),
+                 _data_params_scaled(1.0001, 1.0001, 1e12, 1 - 1e-9),
+                 _data_params_scaled(3.0, 1.001, 1e6, 0.999)):
+        for check in (validate, run):
+            with pytest.raises(ConfigError, match="^data_params.on_mean_ms must be a finite real "
+                                                  "number >= 0.1 ms times the larger "):
+                check(replace(cfg, data_params=data))
+    validate(cfg)   # the default 6 ms mean is 16 times the bound
+
+
+def test_on_off_work_per_tti_is_bounded_just_inside_the_bound():
+    # periods of at least 0.1 ms end at most 10 times in a 1 ms step, plus
+    # the period the step starts in
+    cfg = ScenarioConfig(policy="dham", n_ues=6, tti_count=60, loads_mbps={DATA: 30.0},
+                         data_params=_data_params_scaled(1.05, 1.01, 1e6, 1 + 1e-9))
+    validate(cfg)
+    draws, per_step = [0], []
+    draw, step_ms = OnOffSource._draw_duration, OnOffSource.step_ms
+
+    def counting_draw(self):
+        draws[0] += 1
+        return draw(self)
+
+    def counting_step(self, tti):
+        before = draws[0]
+        step_ms(self, tti)
+        per_step.append(draws[0] - before)
+
+    with mock.patch.object(OnOffSource, "_draw_duration", counting_draw), \
+            mock.patch.object(OnOffSource, "step_ms", counting_step):
+        assert run(cfg).tti_count == 60
+    assert len(per_step) >= 60   # 48 sources over 60 TTIs, most of them due each TTI
+    assert max(per_step) <= 11, max(per_step)
+    assert max(per_step) >= 4    # the periods really are short here (7 observed)
 
 
 def test_validate_rejects_nonpositive_min_ue_distance():

@@ -1,0 +1,132 @@
+"""A plain TTI loop as the oracle of `engine.run`'s per-UE stages.
+
+`_reference_run` is written for clarity, not speed. It steps every source at
+every TTI (each on/off source of a `DataSource` on its own, in source order),
+ages every buffer at every TTI and drains with the full-sort flip drain. The
+traffic docstring says stepping every TTI yields the same packets, stamps and
+draws as stepping only at `due`, and `UeBuffer.due` says the same of aging, so
+the summary and the per-TTI trace must equal `run`'s. The channel grid and the
+decision are shared with `run`: `CqiSource.grid` and `dispatch` have their
+own tests.
+"""
+
+import numpy as np
+from hypothesis import assume, example, given, settings, strategies as st
+
+from test_ue_tx import _full_sort_flip_drain
+from ulsched.channel import CqiSource
+from ulsched.engine import ConfigError, ScenarioConfig, _build_sources, deploy, run, validate
+from ulsched.metrics import MetricsCollector, summary_row, worst_user
+from ulsched.schedulers import POLICIES, build_traffic_matrix, dispatch
+from ulsched.traffic import DATA, VIDEO, VOICE, DataSource, UeBuffer
+from ulsched.ue_tx import strict_priority_drain
+
+
+def _every_tti_steps(src):
+    """The step callables of one source: a DataSource's on/off sources one by
+    one, so each of them is stepped at every TTI."""
+    if not isinstance(src, DataSource):
+        return [src.step]
+
+    def step(onoff, tti):
+        onoff.step_ms(tti)
+        return onoff.take_packets(tti)
+    return [lambda tti, onoff=onoff: step(onoff, tti) for onoff in src.sources]
+
+
+def _reference_run(cfg: ScenarioConfig):
+    validate(cfg)
+    topo = deploy(cfg, np.random.default_rng([cfg.seed, 0]))
+    n = topo.n_ues
+    buffers = [UeBuffer(capacity=cfg.buffer_capacity, threshold=cfg.buffer_threshold,
+                        voice_deadline=cfg.voice_deadline_ms,
+                        video_deadline=cfg.video_deadline_ms,
+                        history_window=cfg.history_window)
+               for _ in range(n)]
+    steps = [(step, buffers[ue]) for ue, gen in enumerate(_build_sources(cfg, n))
+             for src in gen for step in _every_tti_steps(src)]
+    grid = CqiSource(topo=topo, cfg=cfg.channel,
+                     fading_rngs=[np.random.default_rng([cfg.seed, 4, ue]) for ue in range(n)],
+                     interference_rng=np.random.default_rng([cfg.seed, 5])).grid
+    collector = MetricsCollector(worst_user(topo) if n else 0, keep_trace=cfg.keep_trace)
+    drain = _full_sort_flip_drain if cfg.ue_policy == "flip" else strict_priority_drain
+
+    for tti in range(cfg.tti_count):
+        for step, buf in steps:
+            buf.enqueue(step(tti))
+        dropped = 0
+        critical = np.zeros(n, dtype=np.int64)
+        for ue, buf in enumerate(buffers):
+            gone, critical[ue] = buf.age_and_drop(tti)
+            dropped += gone
+        b = np.array([buf.total for buf in buffers], dtype=np.int64)
+        k = k_current = None
+        if cfg.policy != "dham":
+            k_current = critical
+            if cfg.policy == "dafs":
+                k_current = critical + np.maximum(b - cfg.buffer_threshold, 0)
+            k = k_current + np.array([buf.history_sum for buf in buffers], dtype=np.int64)
+        decision = dispatch(cfg.policy, build_traffic_matrix(grid(tti), b), k, k_current)
+        sent = 0
+        delivered = []
+        for ue, grant in enumerate(decision.grants.tolist()):
+            if grant:
+                before = buffers[ue].total
+                delivered += drain(buffers[ue], grant, tti)
+                sent += before - buffers[ue].total
+        collector.record_tti(tti, dropped, sent, delivered, decision)
+    return collector.finalize(buffers)
+
+
+def _row(summary, cfg):
+    # repr, so that equal NaNs compare equal
+    return repr(summary_row(summary, cfg.policy, cfg.ue_policy, cfg.seed, cfg.loads_mbps))
+
+
+_LOAD = st.one_of(st.just(0.0), st.floats(0.01, 12.0))
+_MEAN = st.sampled_from([0.0, 1.0, 40.0, 3000.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(policy=st.sampled_from(POLICIES), ue_policy=st.sampled_from(["strict", "flip"]),
+       seed=st.integers(0, 2 ** 16), n_ues=st.integers(0, 12), ttis=st.integers(1, 200),
+       capacity=st.sampled_from([300, 2000, 65536]), threshold_share=st.floats(0.0, 0.9),
+       voice_deadline=st.integers(1, 60), video_deadline=st.integers(1, 160),
+       history_window=st.integers(1, 1000), loads=st.tuples(_LOAD, _LOAD, _LOAD),
+       talk=_MEAN, silence=_MEAN, sid_interval=st.sampled_from([2.0, 160.0, 1e12]),
+       source_rate=st.sampled_from([200_000.0, 1e-3]),
+       cap_factor=st.sampled_from([50.0, 1e6]))
+# voice sources that are almost always silent and never send a SID, and data
+# sources that accrue almost nothing: their steps look ahead as far as they may
+@example(policy="dafs", ue_policy="flip", seed=3, n_ues=4, ttis=120, capacity=65536,
+         threshold_share=0.75, voice_deadline=50, video_deadline=150, history_window=1000,
+         loads=(0.01, 2.0, 1e-6), talk=1.0, silence=3000.0, sid_interval=1e12,
+         source_rate=1e-3, cap_factor=1e6)
+# short deadlines and a small buffer under a heavy flip load
+@example(policy="darts", ue_policy="flip", seed=5, n_ues=12, ttis=200, capacity=2000,
+         threshold_share=0.5, voice_deadline=3, video_deadline=5, history_window=7,
+         loads=(12.0, 12.0, 12.0), talk=40.0, silence=40.0, sid_interval=2.0,
+         source_rate=200_000.0, cap_factor=50.0)
+def test_run_equals_the_reference_loop(policy, ue_policy, seed, n_ues, ttis, capacity,
+                                       threshold_share, voice_deadline, video_deadline,
+                                       history_window, loads, talk, silence, sid_interval,
+                                       source_rate, cap_factor):
+    cfg = ScenarioConfig.from_dict({
+        "policy": policy, "ue_policy": ue_policy, "seed": seed, "n_ues": n_ues,
+        "tti_count": ttis, "buffer_capacity": capacity,
+        "buffer_threshold": int(threshold_share * capacity),
+        "voice_deadline_ms": voice_deadline, "video_deadline_ms": video_deadline,
+        "history_window": history_window, "keep_trace": True,
+        "loads_mbps": dict(zip((VOICE, VIDEO, DATA), loads)),
+        "voice_params": {"packet_bytes": 40, "sid_bytes": 15, "sid_interval_ms": sid_interval,
+                         "talk_mean_ms": talk, "silence_mean_ms": silence},
+        "data_params": {"n_sources": 8, "source_rate_bps": source_rate, "on_mean_ms": 6.0,
+                        "on_shape": 1.4, "off_shape": 1.2, "cap_factor": cap_factor,
+                        "payload_min": 46, "payload_max": 1500}})
+    try:
+        validate(cfg)
+    except ConfigError:  # a voice load below the SID floor, or one that never talks
+        assume(False)
+    got, want = run(cfg), _reference_run(cfg)
+    assert _row(got, cfg) == _row(want, cfg)
+    assert got.trace_rows == want.trace_rows

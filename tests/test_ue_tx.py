@@ -7,7 +7,38 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from ulsched.traffic import DATA, UeBuffer, VIDEO, VOICE, make_packet
-from ulsched.ue_tx import _reward_pairs, flip_drain, strict_priority_drain
+from ulsched.ue_tx import flip_drain, strict_priority_drain
+
+
+# ---------------------------------------------------------------------------
+# the full-sort oracle of the flip drain
+# ---------------------------------------------------------------------------
+
+def _reward_pairs(buf: UeBuffer, tti: int):
+    """(reward, packet) for every buffered packet, voice, video, then data,
+    each in FIFO order. Voice and video rewards are the packet delay over the
+    class deadline (deadline enforcement has already run, so they lie in
+    [0, 1]); data packets share one buffer-pressure reward."""
+    out = []
+    for cls in (VOICE, VIDEO):
+        d = buf.deadlines[cls]
+        for p in buf.queues[cls]:
+            out.append(((tti - p.arrival_tti) / d, p))
+    r_data = max(buf.total - buf.threshold, 0) / (buf.capacity - buf.threshold)
+    for p in buf.queues[DATA]:
+        out.append((r_data, p))
+    return out
+
+
+def _full_sort_flip_drain(buf: UeBuffer, grant: int, tti: int) -> list:
+    """The knapsack drain by its definition: key every buffered packet by
+    reward density (ties: higher reward, then older arrival, then the
+    `_reward_pairs` order, so voice before video before data), sort them all
+    and send in that order."""
+    keyed = [(-r / p.remaining, -r, p.arrival_tti, seq, p)
+             for seq, (r, p) in enumerate(_reward_pairs(buf, tti))]
+    keyed.sort()
+    return buf.send([key[4] for key in keyed], grant, tti)
 
 
 def _buf(capacity=65536, threshold=None):

@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .channel import ChannelConfig, CqiSource, Topology, load_cqi_trace
+from .channel import ChannelConfig, CqiSource, Topology, cqi_to_bytes_per_rc, load_cqi_trace
 from .metrics import MetricsCollector, MetricsSummary, summary_row, worst_user
 from .schedulers import POLICIES, build_traffic_matrix, dispatch
 from .traffic import (
@@ -290,14 +290,25 @@ def validate(cfg: ScenarioConfig) -> None:
 
 def _check_voice_floor(cfg: ScenarioConfig, n_ues: int) -> None:
     """The voice load, split over n_ues live sources, must exceed what the
-    silence descriptors alone send; a replayed arrival trace has no voice sources."""
+    silence descriptors alone send, and one talking source may offer no more
+    per TTI than every RC carries at the highest CQI: its talking interval
+    must be at least packet_bytes / (rc_count * cqi_to_bytes_per_rc(15)) ms.
+    That bounds the packets a source emits per TTI. A replayed arrival trace
+    has no voice sources."""
     load = cfg.loads_mbps.get(VOICE, 0.0)
     if cfg.arrival_trace or load <= 0 or n_ues == 0:
         return
     try:
-        voice_interval_for_load(load * 1e6 / n_ues, **cfg.voice_params)
+        interval = voice_interval_for_load(load * 1e6 / n_ues, **cfg.voice_params)
     except TrafficError as err:
         raise ConfigError(f"loads_mbps.voice = {load} Mbps over {n_ues} UEs: {err}") from None
+    rc_count = cfg.channel.rc_count
+    least = cfg.voice_params["packet_bytes"] / (rc_count * cqi_to_bytes_per_rc(15))
+    if interval < least:
+        raise ConfigError(
+            f"loads_mbps.voice = {load} Mbps over {n_ues} UEs: a talking UE would send a "
+            f"packet every {interval:.3g} ms, more bytes per TTI than all {rc_count} RCs "
+            f"carry at CQI 15 (the interval must be at least {least:.3g} ms)")
 
 
 # ---------------------------------------------------------------------------

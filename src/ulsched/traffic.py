@@ -6,10 +6,13 @@ lifetime counters are the run's ledger of bytes and packet outcomes.
 All byte accounting is integral. Delays are measured in TTIs (1 ms).
 
 Every source has an integer `due`: the first TTI whose `step` can draw from
-the rng, accrue credit or emit a packet. Time starts at TTI 0 and TTIs are
-stepped in increasing order. A caller may skip any TTI before `due`, but
-must not skip `due` itself; stepping every TTI stays correct and yields the
-same packets, stamps and draws.
+the rng, change the source's state or emit a packet. Time starts at TTI 0
+and TTIs are stepped in increasing order. A caller may skip any TTI before
+`due`, but must not skip `due` itself; stepping every TTI stays correct and
+yields the same packets, stamps and draws. A skipped TTI may still have
+bookkeeping to do (a credit to accrue, a countdown to run, a uniform already
+drawn to consume): the next step replays it, one TTI at a time where float
+addition would otherwise round differently, before its own TTI.
 """
 
 import functools
@@ -80,6 +83,7 @@ def truncated_pareto_mean(scale, shape, maximum) -> float:
 
 NEVER = 2 ** 62          # the `due` of a source that never emits
 _UNIFORM_BLOCK = 16      # uniforms per voice rng call; every UE holds up to one block
+_LOOKAHEAD = 16          # TTIs a step looks ahead, at most, to find its source's `due`
 
 
 class VoiceSource:
@@ -87,9 +91,16 @@ class VoiceSource:
     interval while talking, SID packets on a slower clock while silent.
     Sojourn times are geometric with the configured means (in ms).
 
-    Pacing credit accrues per TTI, so every TTI is due. The per-TTI state
-    flip tests take their uniforms from blocks of `rng.random(_UNIFORM_BLOCK)`,
-    which is the same stream as one `rng.random()` per test."""
+    The per-TTI state flip tests take their uniforms from blocks of
+    `rng.random(_UNIFORM_BLOCK)`, which is the same stream as one
+    `rng.random()` per test. A talking source is due every TTI: it emits at
+    almost every one. A silent source is due at the first TTI whose step
+    flips the state, sends a SID or needs a fresh block; it looks ahead for
+    that TTI over the uniforms left in its current block, which the rng has
+    already drawn, and over at most _LOOKAHEAD TTIs. So the rng is read at
+    the same TTIs as with a step at every TTI. A skipped silent TTI only
+    consumes its uniform and adds 1.0 to the SID credit; the next step
+    replays those additions one by one."""
 
     def __init__(self, rng, interval_ms=20.0, packet_bytes=40, sid_bytes=15,
                  sid_interval_ms=160.0, talk_mean_ms=3000.0, silence_mean_ms=3000.0,
@@ -108,17 +119,30 @@ class VoiceSource:
         # long-run rate equals talk_time/interval + silence_time/sid_interval
         self._talk_credit = interval_ms - 1.0
         self._sid_credit = sid_interval_ms - 1.0
-        self._uniforms = itertools.chain.from_iterable(
-            iter(lambda: rng.random(_UNIFORM_BLOCK).tolist(), None))
+        self._block = []                      # the current block of uniforms
+        self._uniforms = iter(self._block)    # its unread tail
+        self._now = 0                         # the next TTI to step
         self.due = 0
 
+    def _refill(self) -> float:
+        self._block = self.rng.random(_UNIFORM_BLOCK).tolist()
+        self._uniforms = iter(self._block)
+        return next(self._uniforms)
+
     def step(self, tti: int):
-        self.due = tti + 1
+        if tti > self._now:
+            self._replay(tti)
+        self._now = tti + 1
         p_leave = self.p_leave_talk if self.talking else self.p_leave_silence
-        if p_leave and next(self._uniforms) < p_leave:
-            self.talking = not self.talking
+        if p_leave:
+            u = next(self._uniforms, None)
+            if u is None:
+                u = self._refill()
+            if u < p_leave:
+                self.talking = not self.talking
         out = []
         if self.talking:
+            self.due = tti + 1
             self._talk_credit += 1.0
             while self._talk_credit >= self.interval_ms:
                 self._talk_credit -= self.interval_ms
@@ -128,7 +152,41 @@ class VoiceSource:
             while self._sid_credit >= self.sid_interval_ms:
                 self._sid_credit -= self.sid_interval_ms
                 out.append(Packet(VOICE, self.sid_bytes, tti, self.sid_bytes))
+            self._set_due(tti + 1)
         return out
+
+    def _set_due(self, now: int) -> None:
+        """`now` is the next TTI to step, and the source is silent. The step
+        at now + j is skipped while its uniform is in the block and at least
+        p_leave_silence (or, reading none, while j < _LOOKAHEAD), and the SID
+        credit plus j + 1 additions of 1.0 stays below sid_interval_ms."""
+        p = self.p_leave_silence
+        limit = _LOOKAHEAD
+        if p:  # the first uniform that flips, or the end of the block
+            ahead = self._block[len(self._block) - operator.length_hint(self._uniforms):]
+            limit = len(ahead)
+            for j, u in enumerate(ahead):
+                if u < p:
+                    limit = j
+                    break
+        credit, sid = self._sid_credit, self.sid_interval_ms
+        left = 0
+        while left < limit:
+            credit += 1.0
+            if credit >= sid:
+                break
+            left += 1
+        self.due = now + left
+
+    def _replay(self, tti: int) -> None:
+        """The silent steps skipped since the last one, one by one."""
+        if tti > self.due:
+            raise TrafficError(f"voice source stepped at TTI {tti}, past its due TTI {self.due}")
+        p = self.p_leave_silence
+        for _ in range(tti - self._now):
+            if p:
+                next(self._uniforms)
+            self._sid_credit += 1.0
 
     def mean_rate_bps(self) -> float:
         """Stationary long-run rate from the two-state chain."""
@@ -208,10 +266,13 @@ class OnOffSource:
     and are emitted as packets with uniform payload sizes. The partial-packet
     credit persists across bursts so the long-run rate is exact.
 
-    An OFF TTI that only counts `_remaining` down by 1.0 is not due: `due`
-    passes every such TTI, and the next `step_ms` subtracts the skipped TTIs
-    at once. That is exact, because subtracting 1.0 from a float of at least
-    1 is exact, so k single steps and one step of k give the same value."""
+    A TTI whose step neither ends the period nor, while ON, lifts the credit
+    to `_next_size` draws nothing and emits nothing, so it is not due. Such a
+    step subtracts 1.0 from `_remaining` and, while ON, adds `rate` to
+    `_credit`. The next `step_ms` replays the skipped TTIs: it subtracts them
+    from `_remaining` at once, which is exact because subtracting 1.0 from a
+    float of at least 1 is exact, and adds `rate` once per TTI, because float
+    addition is not associative and k * rate could differ in the last bit."""
 
     def __init__(self, rng, rate_bytes_per_ms, on_mean_ms, off_mean_ms,
                  on_shape=1.4, off_shape=1.2, cap_factor=50.0,
@@ -241,25 +302,43 @@ class OnOffSource:
         return int(self.rng.integers(self.payload_min, self.payload_max + 1))
 
     def _set_due(self, now: int) -> None:
-        """`now` is the next TTI to step. In OFF, the steps at now + j only
-        subtract 1.0 while (_remaining - j) - 1.0 > 1e-12; `due` is now + the
-        first j where that fails."""
+        """`now` is the next TTI to step. The step at now + j only counts down
+        while (_remaining - j) - 1.0 > 1e-12, which holds for the first
+        `left` values of j; while ON it must also keep the credit plus j + 1
+        additions of `rate` below `_next_size`, which the same additions
+        check, over at most _LOOKAHEAD TTIs. `due` is now + the first j that
+        fails."""
         self._now = now
         r = self._remaining
-        if self.on or r - 1.0 <= 1e-12:
-            self.due = now
-            return
-        whole = int(r)
-        self.due = now + whole - (1 if r - whole <= 1e-12 else 0)
+        left = 0
+        if r - 1.0 > 1e-12:
+            whole = int(r)
+            left = whole - 1 if r - whole <= 1e-12 else whole
+        if self.on:
+            credit, rate, size = self._credit, self.rate, self._next_size
+            limit = min(left, _LOOKAHEAD)
+            left = 0
+            while left < limit:
+                credit += rate
+                if credit >= size:
+                    break
+                left += 1
+        self.due = now + left
 
     def step_ms(self, tti: int) -> None:
-        """Advance over TTI `tti`, first catching up on the TTIs skipped since
-        the last step, and add the credit accrued while ON."""
+        """Advance over TTI `tti`, first replaying the TTIs skipped since the
+        last step, and add the credit accrued while ON."""
         if tti > self._now:
             if tti > self.due:
                 raise TrafficError(f"on/off source stepped at TTI {tti}, "
                                    f"past its due TTI {self.due}")
-            self._remaining -= tti - self._now
+            skipped = tti - self._now
+            self._remaining -= skipped
+            if self.on:
+                credit, rate = self._credit, self.rate
+                for _ in range(skipped):
+                    credit += rate
+                self._credit = credit
         t_left = 1.0
         accrued = 0.0
         while t_left > 1e-12:
@@ -292,8 +371,12 @@ def _pareto_scale_for_mean(mean, shape, cap_factor) -> float:
 
 class DataSource:
     """Self-similar data: aggregate of independent on/off sources sharing one
-    rng. A step advances only the sources that are due, in source order, so
-    the draw order matches stepping all of them; `due` is their minimum."""
+    rng. A step advances only the sources that are due, in source order;
+    `due` is their minimum. The shared stream is unchanged by the skipping:
+    an on/off source draws only when it emits (the next payload size) or
+    ends a period (the next duration), and neither can happen at a TTI it
+    skips. So the draws happen at the same TTIs as when every source steps
+    every TTI, and within a TTI in source order."""
 
     def __init__(self, rng, offered_bps, n_sources=8, source_rate_bps=200_000.0,
                  on_mean_ms=6.0, on_shape=1.4, off_shape=1.2, cap_factor=50.0,
@@ -447,7 +530,7 @@ class UeBuffer:
                 q.popleft()
                 n -= 1
             if n:  # a non-FIFO order left a sent packet behind the head
-                self.queues[cls] = deque(p for p in q if p.remaining)
+                self.queues[cls] = deque(filter(operator.attrgetter("remaining"), q))
         return delivered
 
     @property

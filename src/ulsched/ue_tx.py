@@ -12,35 +12,53 @@ books the sent bytes, and the drain returns the (cls, size, delay_ms) of
 each fully sent packet, in drain order.
 """
 
+import math
 from itertools import chain
 from operator import itemgetter
 
 from .traffic import DATA, UeBuffer, VIDEO, VOICE
 
 
-def _reward_pairs(buf: UeBuffer, tti: int):
-    """(reward, packet) for every buffered packet, voice, video, then data,
-    each in FIFO order. Voice and video rewards are the packet delay over the
-    class deadline (deadline enforcement has already run, so they lie in
-    [0, 1]); data packets share one buffer-pressure reward."""
-    out = []
-    for cls in (VOICE, VIDEO):
-        d = buf.deadlines[cls]
-        for p in buf.queues[cls]:
-            out.append(((tti - p.arrival_tti) / d, p))
-    r_data = max(buf.total - buf.threshold, 0) / (buf.capacity - buf.threshold)
-    for p in buf.queues[DATA]:
-        out.append((r_data, p))
-    return out
-
-
 def flip_drain(buf: UeBuffer, grant: int, tti: int) -> list:
-    """The knapsack drain: order every buffered packet by reward density
-    (ties: higher reward, then older arrival, then the `_reward_pairs` order,
-    so voice before video before data) and send in that order. Sorting plain
-    tuples keeps the comparison in C."""
-    keyed = [(-r / p.remaining, -r, p.arrival_tti, seq, p)
-             for seq, (r, p) in enumerate(_reward_pairs(buf, tti))]
+    """The knapsack drain: send in the order of the full sort of every
+    buffered packet by the key (-density, -reward, arrival, seq), density
+    being reward over remaining bytes and seq the position in voice, video,
+    data order, FIFO within each class. Voice and video rewards are the
+    packet delay over the class deadline (deadline enforcement has already
+    run, so they lie in [0, 1]); data packets share one buffer-pressure
+    reward. Sorting plain tuples keeps the comparison in C.
+
+    Only packets the grant can reach get a key. Each class is walked in FIFO
+    order; once the packets keyed so far in it hold the grant, a packet q is
+    skipped if its remaining is at least the largest keyed one's, its arrival
+    is no earlier than the latest keyed one's and not after `tti`. Then q
+    sorts after every keyed packet p of its class: its reward is at most
+    p's (a later arrival gives a smaller delay, and data rewards are equal)
+    and not negative (it arrived by `tti`), so over at least as many bytes
+    its density is at most p's; on equal densities and rewards its arrival
+    is no earlier, and its seq is later. In the full sort those packets come
+    before q and hold the grant, so the send stops before reaching q. The
+    packets the send reaches are therefore all keyed, and the sort of the
+    keyed ones puts them in the same order. No arrival order is assumed."""
+    keyed = []
+    seq = 0
+    r_data = max(buf.total - buf.threshold, 0) / (buf.capacity - buf.threshold)
+    deadlines = buf.deadlines
+    for cls, d in ((VOICE, deadlines[VOICE]), (VIDEO, deadlines[VIDEO]), (DATA, None)):
+        held = big = 0
+        late = -math.inf
+        for p in buf.queues[cls]:
+            rem, a = p.remaining, p.arrival_tti
+            if held >= grant and rem >= big and late <= a <= tti:
+                continue
+            r = (tti - a) / d if d else r_data
+            keyed.append((-r / rem, -r, a, seq, p))
+            seq += 1
+            held += rem
+            if rem > big:
+                big = rem
+            if a > late:
+                late = a
     keyed.sort()
     return buf.send(map(itemgetter(4), keyed), grant, tti)
 

@@ -149,6 +149,30 @@ def test_validate_rejects_voice_load_below_sid_floor():
     validate(ScenarioConfig(n_ues=20, loads_mbps={VOICE: 0.01, VIDEO: 1.0, DATA: 1.0}))
 
 
+def test_validate_bounds_the_voice_load_by_what_the_cell_carries():
+    # one talking UE may offer at most rc_count * 756 B per TTI: its 40 B
+    # packets at least 40 / (8 * 756) ms apart on 8 RCs, half that on 16
+    from ulsched.channel import ChannelConfig
+    pi_talk, sid_bps = 0.5, 0.5 * 15 * 8 * 1000 / 160.0
+    for prb_per_rc, rc_count in ((6, 8), (3, 16)):
+        least = 40 / (rc_count * 756)
+        edge_mbps = (pi_talk * 40 * 8 * 1000 / least + sid_bps) / 1e6  # one UE at the bound
+        cfg = ScenarioConfig(n_ues=1, channel=ChannelConfig(prb_per_rc=prb_per_rc))
+        validate(replace(cfg, loads_mbps={VOICE: edge_mbps * (1 - 1e-9), VIDEO: 1.0, DATA: 1.0}))
+        with pytest.raises(ConfigError, match="^loads_mbps.voice = .* over 1 UEs: a talking UE"):
+            validate(replace(cfg, loads_mbps={VOICE: edge_mbps * (1 + 1e-6),
+                                              VIDEO: 1.0, DATA: 1.0}))
+    # 1e5 Mbps over 30 UEs used to pass and emit ~100,000 packets per talking TTI
+    with pytest.raises(ConfigError, match="^loads_mbps.voice"):
+        validate(ScenarioConfig(loads_mbps={VOICE: 1e5, VIDEO: 1.0, DATA: 1.0}))
+    # with PPP the UE count is drawn, so run applies the bound to the count it drew
+    ppp = ScenarioConfig(ue_mode="ppp", ppp_intensity_per_km2=20.0, tti_count=5,
+                         loads_mbps={VOICE: 1e5, VIDEO: 1.0, DATA: 1.0})
+    validate(ppp)
+    with pytest.raises(ConfigError, match="^loads_mbps.voice"):
+        run(ppp)
+
+
 def test_validate_rejects_channel_without_a_chunk():
     from ulsched.channel import ChannelConfig
     with pytest.raises(ConfigError) as err:

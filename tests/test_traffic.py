@@ -261,6 +261,121 @@ def test_off_countdown_due(remaining, due):
     assert all(at_due[t] == every[t] for t in at_due)
 
 
+def _stepped_at(make, seed, ttis):
+    """Step a source at every TTI and a twin only at its due TTIs; check that
+    both emit the same packets with the same rng state after every TTI, and
+    return the twin's {TTI stepped at: (cls, size) emitted}."""
+    every_rng, due_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    every, twin = make(every_rng), make(due_rng)
+    stepped = {}
+    for t in range(ttis):
+        want = [(p.cls, p.size) for p in every.step(t)]
+        if twin.due <= t:
+            stepped[t] = [(p.cls, p.size) for p in twin.step(t)]
+        assert stepped.get(t, []) == want
+        assert due_rng.bit_generator.state == every_rng.bit_generator.state
+    return stepped
+
+
+def _on(remaining, next_size=100, rate=25.0):
+    def make(rng):
+        src = OnOffSource(rng, rate, 6.0, 300.0)
+        src.on, src._remaining, src._credit, src._next_size = True, remaining, 0.0, next_size
+        src._set_due(0)
+        return _Steps(src)
+    return make
+
+
+def test_on_credit_reaching_the_payload_exactly_is_due():
+    # 25.0 four times is exactly 100.0: TTIs 0-2 only accrue, TTI 3 emits
+    make = _on(remaining=50.0)
+    assert make(np.random.default_rng(5)).due == 3
+    stepped = _stepped_at(make, 5, 4)
+    assert stepped == {3: [(DATA, 100)]}
+
+
+def test_on_period_ending_in_the_tti_of_an_emission_is_due():
+    make = _on(remaining=4.0)
+    twin = make(np.random.default_rng(5))
+    assert twin.due == 3
+    assert _stepped_at(make, 5, 4) == {3: [(DATA, 100)]}
+    twin.step(3)
+    assert not twin.src.on  # the same step ended the period
+
+
+def test_on_look_ahead_stops_at_its_cap():
+    # 1e-6 B per TTI never reaches 100 B in 100 TTIs: each step looks 16 TTIs
+    # ahead, from the TTI after it
+    stepped = _stepped_at(_on(remaining=100.0, rate=1e-6), 5, 60)
+    assert list(stepped) == [16, 33, 50]
+
+
+@pytest.mark.parametrize("seed, kwargs, stepped, sids", [
+    # 15 uniforms left after TTI 0, none below 1/40; TTI 16 needs a fresh
+    # block, whose first uniform flips the source to talking: due every TTI
+    (97, dict(silence_mean_ms=40.0), [0, 16, *range(17, 40)], [0]),
+    # silence is never left and reads no uniform: the look-ahead stops at its
+    # 16-TTI cap, and at TTI 160, where the SID credit reaches exactly 160.0
+    (3, dict(silence_mean_ms=0.0),
+     [0, 17, 34, 51, 68, 85, 102, 119, 136, 153, 160, 177], [0, 160]),
+    (3, dict(silence_mean_ms=0.0, sid_interval_ms=20.0), [0, 17, 20, 37, 40], [0, 20, 40]),
+])
+def test_silent_voice_due(seed, kwargs, stepped, sids):
+    make = lambda rng: VoiceSource(rng, start_talking=False, **kwargs)  # noqa: E731
+    got = _stepped_at(make, seed, stepped[-1] + 1)
+    assert list(got) == stepped
+    assert [t for t, pkts in got.items() if (VOICE, 15) in pkts] == sids
+
+
+class _Counted(float):
+    """A float that counts the additions and comparisons it takes part in as
+    the right operand, where Python asks the subclass first."""
+    count = 0
+
+    def _counted(op):
+        def f(self, other):
+            _Counted.count += 1
+            return getattr(float, op)(self, other)
+        return f
+    __radd__ = _counted("__radd__")
+    __le__ = _counted("__le__")
+    __ge__ = _counted("__ge__")
+    __lt__ = _counted("__lt__")
+    __gt__ = _counted("__gt__")
+
+
+def _look_ahead_counts(src, sources, ttis=60):
+    """Per `_set_due` call of each of `sources`, the counted operations it made
+    while `src` is stepped at its due TTIs."""
+    counts = []
+    for inner in sources:
+        def counting(now, inner=inner, set_due=inner._set_due):
+            before = _Counted.count
+            set_due(now)
+            counts.append(_Counted.count - before)
+        inner._set_due = counting
+    for t in range(ttis):
+        if src.due <= t:
+            src.step(t)
+    return counts
+
+
+def test_look_ahead_iterations_are_capped():
+    # a silent voice source that never leaves silence nor sends a SID: each
+    # look-ahead iteration compares once with sid_interval_ms
+    voice = VoiceSource(np.random.default_rng(1), sid_interval_ms=_Counted(1e12),
+                        silence_mean_ms=0.0, start_talking=False)
+    assert _look_ahead_counts(voice, [voice]) == [16] * 4
+    # on/off sources that accrue 1e-3 bit/s over periods up to 1e6 scales: each
+    # look-ahead iteration adds `rate` once, and OFF needs none
+    data = DataSource(np.random.default_rng(0), offered_bps=1e-3, source_rate_bps=1e-3,
+                      cap_factor=1e6)
+    for onoff in data.sources:
+        onoff.rate = _Counted(onoff.rate)
+    counts = _look_ahead_counts(data, data.sources)
+    assert max(counts) == 16  # seed 0 has ON periods longer than the cap
+
+
 def test_stepping_past_due_is_refused():
     src = OnOffSource(np.random.default_rng(3), 25.0, 6.0, 300.0)
     src.on, src._remaining = False, 10.0

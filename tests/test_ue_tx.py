@@ -268,3 +268,74 @@ def test_both_drains_spend_the_grant_in_one_walk(pkts, earlier, strict, data):
         assert delivered == gone
         chained = [p for cls in (VOICE, VIDEO, DATA) for p, _a, _r in before[cls]]
         assert all(not p.remaining for p in chained[:len(delivered)])
+
+
+# ---------------------------------------------------------------------------
+# flip_drain against the full-sort oracle
+# ---------------------------------------------------------------------------
+
+def _ledger(buf):
+    return (buf.total, buf.arrived, buf.transmitted, buf.delivered_pkts,
+            {cls: [(p.size, p.arrival_tti, p.remaining) for p in q]
+             for cls, q in buf.queues.items()})
+
+
+@settings(max_examples=400, deadline=None)
+@given(pkts=st.lists(st.tuples(st.sampled_from([VOICE, VIDEO, DATA]), st.integers(1, 120),
+                               st.integers(-8, 2)), max_size=40),
+       shift=st.sampled_from([0, 9]),
+       deadlines=st.tuples(st.sampled_from([4, 8]), st.sampled_from([4, 8])),
+       threshold=st.sampled_from([0, 50, 99_999]),
+       earlier=st.lists(st.tuples(st.booleans(), st.integers(0, 300)), max_size=3),
+       data=st.data())
+def test_flip_drain_equals_the_full_sort(pkts, shift, deadlines, threshold, earlier, data):
+    # arrivals relative to TTI 20, unsorted and up to 2 TTIs after it, or
+    # with shift 9 all after it (negative rewards); few sizes, equal deadlines
+    # and arrivals at `tti` give ties across classes; threshold 0 puts
+    # pressure on the data reward, 99,999 none
+    tti = 20
+    bufs = []
+    for _ in range(2):
+        buf = UeBuffer(capacity=100_000, threshold=threshold,
+                       voice_deadline=deadlines[0], video_deadline=deadlines[1])
+        buf.enqueue([make_packet(cls, size, tti + shift + arrival)
+                     for cls, size, arrival in pkts])
+        for strict_before, grant in earlier:  # fragments left by earlier grants
+            (strict_priority_drain if strict_before else _full_sort_flip_drain)(buf, grant, tti)
+        bufs.append(buf)
+    total = bufs[0].total
+    grant = data.draw(st.one_of(st.integers(-5, 0), st.integers(1, max(total, 1)),
+                                st.integers(total, total + 50)))
+    got = flip_drain(bufs[0], grant, tti)
+    want = _full_sort_flip_drain(bufs[1], grant, tti)
+    assert got == want
+    assert _ledger(bufs[0]) == _ledger(bufs[1])
+
+
+def test_flip_drain_keys_a_larger_packet_from_after_tti():
+    # both packets arrive after TTI 20, so their rewards are negative: the
+    # later, larger one has the lower density key (2/8/100 below 1/8/10) and
+    # sorts first, although the first packet alone holds the grant
+    for drain in (flip_drain, _full_sort_flip_drain):
+        buf = UeBuffer(voice_deadline=8)
+        buf.enqueue([make_packet(VOICE, 10, 21), make_packet(VOICE, 100, 22)])
+        assert drain(buf, 10, tti=20) == []
+        assert [p.remaining for p in buf.queues[VOICE]] == [10, 90]
+
+
+def test_flip_drain_keys_only_what_the_grant_reaches():
+    # 500 equal voice packets in arrival order: the first ceil(grant / size)
+    # hold the grant, and every later one is skipped without a key
+    for grant in (0, 1, 40, 41, 756, 20_000):
+        buf = _buf()
+        buf.enqueue([make_packet(VOICE, 40, t) for t in range(500)])
+        handed = []
+
+        def send(packets, grant, tti, buf=buf, handed=handed):
+            packets = list(packets)
+            handed.append(len(packets))
+            return UeBuffer.send(buf, packets, grant, tti)
+        buf.send = send
+        flip_drain(buf, grant, tti=600)
+        assert handed == [-(-grant // 40)]
+        assert buf.transmitted[VOICE] == grant

@@ -162,31 +162,32 @@ class VoiceSource:
         credit plus j + 1 additions of 1.0 stays below sid_interval_ms."""
         p = self.p_leave_silence
         limit = _LOOKAHEAD
-        if p:  # the first uniform that flips, or the end of the block
+        if p:  # up to the first uniform that flips, or the end of the block
             ahead = self._block[len(self._block) - operator.length_hint(self._uniforms):]
             limit = len(ahead)
-            for j, u in enumerate(ahead):
-                if u < p:
-                    limit = j
-                    break
+            if ahead and min(ahead) < p:
+                limit = next(j for j, u in enumerate(ahead) if u < p)
         credit, sid = self._sid_credit, self.sid_interval_ms
-        left = 0
-        while left < limit:
+        for left in range(limit):
             credit += 1.0
             if credit >= sid:
                 break
-            left += 1
+        else:
+            left = limit
         self.due = now + left
 
     def _replay(self, tti: int) -> None:
-        """The silent steps skipped since the last one, one by one."""
+        """The silent steps skipped since the last one: each consumes its
+        uniform and adds 1.0 to the SID credit."""
         if tti > self.due:
             raise TrafficError(f"voice source stepped at TTI {tti}, past its due TTI {self.due}")
-        p = self.p_leave_silence
-        for _ in range(tti - self._now):
-            if p:
-                next(self._uniforms)
-            self._sid_credit += 1.0
+        skipped = tti - self._now
+        if self.p_leave_silence:
+            next(itertools.islice(self._uniforms, skipped, skipped), None)
+        credit = self._sid_credit
+        for _ in range(skipped):
+            credit += 1.0
+        self._sid_credit = credit
 
     def mean_rate_bps(self) -> float:
         """Stationary long-run rate from the two-state chain."""
@@ -317,12 +318,12 @@ class OnOffSource:
         if self.on:
             credit, rate, size = self._credit, self.rate, self._next_size
             limit = min(left, _LOOKAHEAD)
-            left = 0
-            while left < limit:
+            for left in range(limit):
                 credit += rate
                 if credit >= size:
                     break
-                left += 1
+            else:
+                left = limit
         self.due = now + left
 
     def step_ms(self, tti: int) -> None:

@@ -124,11 +124,6 @@ class VoiceSource:
         self._now = 0                         # the next TTI to step
         self.due = 0
 
-    def _refill(self) -> float:
-        self._block = self.rng.random(_UNIFORM_BLOCK).tolist()
-        self._uniforms = iter(self._block)
-        return next(self._uniforms)
-
     def step(self, tti: int):
         if tti > self._now:
             self._replay(tti)
@@ -137,7 +132,9 @@ class VoiceSource:
         if p_leave:
             u = next(self._uniforms, None)
             if u is None:
-                u = self._refill()
+                self._block = self.rng.random(_UNIFORM_BLOCK).tolist()
+                self._uniforms = iter(self._block)
+                u = next(self._uniforms)
             if u < p_leave:
                 self.talking = not self.talking
         out = []
@@ -165,7 +162,7 @@ class VoiceSource:
         if p:  # up to the first uniform that flips, or the end of the block
             ahead = self._block[len(self._block) - operator.length_hint(self._uniforms):]
             limit = len(ahead)
-            if ahead and min(ahead) < p:
+            if min(ahead, default=p) < p:
                 limit = next(j for j, u in enumerate(ahead) if u < p)
         credit, sid = self._sid_credit, self.sid_interval_ms
         for left in range(limit):

@@ -1,11 +1,12 @@
 """UE-side drain of a granted byte budget.
 
 strict_priority_drain empties voice, then video, then data. The flip drain
-(knapsack mode) assigns each buffered packet a reward - delay ratio for the
+(knapsack mode) gives each buffered packet a reward - delay ratio for the
 real-time classes, buffer build-up for data - and fills the grant greedily by
 reward density with byte-level fragmentation, so a nearly-expired video
 packet can overtake fresh voice. Greedy with fragmentation attains the
-fractional-knapsack optimum.
+fractional-knapsack optimum; only the packets the grant can reach are
+ranked.
 
 Each drain only orders the packets; `UeBuffer.send` walks them, the buffer
 books the sent bytes, and the drain returns the (cls, size, delay_ms) of
@@ -32,11 +33,11 @@ def flip_drain(buf: UeBuffer, grant: int, tti: int) -> list:
     order; once the packets keyed so far in it hold the grant, a packet q is
     skipped if its remaining is at least the largest keyed one's, its arrival
     is no earlier than the latest keyed one's and not after `tti`. Then q
-    sorts after every keyed packet p of its class: its reward is at most
-    p's (a later arrival gives a smaller delay, and data rewards are equal)
-    and not negative (it arrived by `tti`), so over at least as many bytes
-    its density is at most p's; on equal densities and rewards its arrival
-    is no earlier, and its seq is later. In the full sort those packets come
+    sorts after every keyed packet p of its class: p arrived no later than
+    q, which arrived by `tti`, so 0 <= reward(q) <= reward(p) (data rewards
+    are equal), and over at least as many bytes q's density is at most p's
+    (the rounded quotients are monotone too); on equal densities and
+    rewards its arrival is no earlier, and its seq is later. In the full sort those packets come
     before q and hold the grant, so the send stops before reaching q. The
     packets the send reaches are therefore all keyed, and the sort of the
     keyed ones puts them in the same order. No arrival order is assumed."""

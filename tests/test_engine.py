@@ -652,6 +652,9 @@ def test_no_transmitted_packet_exceeds_deadline():
 @example(policy="dham", ue_policy="flip", n_ues=5, seed=2, capacity=300,
          threshold_share=0.0, voice_deadline=1, video_deadline=1, history_window=1,
          loads=(8.0, 8.0, 32.0))
+@example(policy="darts", ue_policy="strict", n_ues=1, seed=3, capacity=65536,
+         threshold_share=0.75, voice_deadline=50, video_deadline=150, history_window=20,
+         loads=(32.0, 0.0, 0.0))
 def test_small_runs_conserve_bytes_drain_grants_and_meet_deadlines(
         policy, ue_policy, n_ues, seed, capacity, threshold_share, voice_deadline,
         video_deadline, history_window, loads):
@@ -664,6 +667,11 @@ def test_small_runs_conserve_bytes_drain_grants_and_meet_deadlines(
                          voice_deadline_ms=voice_deadline, video_deadline_ms=video_deadline,
                          history_window=history_window, keep_trace=True,
                          loads_mbps=dict(zip((VOICE, VIDEO, DATA), loads)))
+    if n_ues == 1 and loads[0] == 32.0:
+        # one UE talking at 64 Mbps offers more than 8 RCs carry at CQI 15
+        with pytest.raises(ConfigError, match="^loads_mbps.voice"):
+            run(cfg)
+        return
     s = run(cfg)
     assert s.conservation_ok
     assert len(s.trace_rows) == 40

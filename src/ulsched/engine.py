@@ -285,30 +285,40 @@ def validate(cfg: ScenarioConfig) -> None:
         if value is not _ABSENT and not ok(value, cfg):
             raise ConfigError(f"{key} must be {what}, got {value!r}")
     if cfg.ue_mode == "fixed":
-        _check_voice_floor(cfg, cfg.n_ues)
+        _check_loads(cfg, cfg.n_ues)
 
 
-def _check_voice_floor(cfg: ScenarioConfig, n_ues: int) -> None:
-    """The voice load, split over n_ues live sources, must exceed what the
-    silence descriptors alone send, and one talking source may offer no more
-    per TTI than every RC carries at the highest CQI: its talking interval
-    must be at least packet_bytes / (rc_count * cqi_to_bytes_per_rc(15)) ms.
-    That bounds the packets a source emits per TTI. A replayed arrival trace
-    has no voice sources."""
-    load = cfg.loads_mbps.get(VOICE, 0.0)
-    if cfg.arrival_trace or load <= 0 or n_ues == 0:
+def _check_loads(cfg: ScenarioConfig, n_ues: int) -> None:
+    """Per class, the load split over n_ues live sources must be one a
+    source can offer and the cell can carry. The voice share must exceed
+    what the silence descriptors alone send, and one talking source may
+    offer no more per TTI than every RC carries at the highest CQI: its
+    talking interval must be at least packet_bytes / (rc_count *
+    cqi_to_bytes_per_rc(15)) ms. The video share may not exceed that
+    per-TTI capacity as a mean rate. Both bound the packets a source emits
+    per TTI. A replayed arrival trace has no sources."""
+    if cfg.arrival_trace or n_ues == 0:
         return
-    try:
-        interval = voice_interval_for_load(load * 1e6 / n_ues, **cfg.voice_params)
-    except TrafficError as err:
-        raise ConfigError(f"loads_mbps.voice = {load} Mbps over {n_ues} UEs: {err}") from None
     rc_count = cfg.channel.rc_count
-    least = cfg.voice_params["packet_bytes"] / (rc_count * cqi_to_bytes_per_rc(15))
-    if interval < least:
+    tti_bytes = rc_count * cqi_to_bytes_per_rc(15)
+    load = cfg.loads_mbps.get(VOICE, 0.0)
+    if load > 0:
+        try:
+            interval = voice_interval_for_load(load * 1e6 / n_ues, **cfg.voice_params)
+        except TrafficError as err:
+            raise ConfigError(f"loads_mbps.voice = {load} Mbps over {n_ues} UEs: {err}") from None
+        least = cfg.voice_params["packet_bytes"] / tti_bytes
+        if interval < least:
+            raise ConfigError(
+                f"loads_mbps.voice = {load} Mbps over {n_ues} UEs: a talking UE would send a "
+                f"packet every {interval:.3g} ms, more bytes per TTI than all {rc_count} RCs "
+                f"carry at CQI 15 (the interval must be at least {least:.3g} ms)")
+    load = cfg.loads_mbps.get(VIDEO, 0.0)
+    if load * 1e6 / n_ues > tti_bytes * 8000:
         raise ConfigError(
-            f"loads_mbps.voice = {load} Mbps over {n_ues} UEs: a talking UE would send a "
-            f"packet every {interval:.3g} ms, more bytes per TTI than all {rc_count} RCs "
-            f"carry at CQI 15 (the interval must be at least {least:.3g} ms)")
+            f"loads_mbps.video = {load} Mbps over {n_ues} UEs: each UE would offer "
+            f"{load / n_ues:.6g} Mbps, more than all {rc_count} RCs carry at CQI 15 "
+            f"({tti_bytes * 8e-3:.6g} Mbps)")
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +427,7 @@ def run(cfg: ScenarioConfig) -> MetricsSummary:
     topo = deploy(cfg, np.random.default_rng([cfg.seed, 0]))
     n = topo.n_ues
     if cfg.ue_mode == "ppp":
-        _check_voice_floor(cfg, n)
+        _check_loads(cfg, n)
     buffers = [UeBuffer(capacity=cfg.buffer_capacity, threshold=cfg.buffer_threshold,
                         voice_deadline=cfg.voice_deadline_ms,
                         video_deadline=cfg.video_deadline_ms,
@@ -486,22 +496,19 @@ def run_row(cfg: ScenarioConfig) -> dict:
 def sweep(cfg: ScenarioConfig, points_mbps=None, seeds=None, jobs: int = 1):
     """One run per (load point x seed). The varied class comes from
     cfg.sweep['vary']; the other class loads stay at their configured values.
-    Returns the list of summary rows in (point, seed) order."""
+    The overrides are checked as sweep.points_mbps and sweep.seeds, and every
+    run's config is validated before the first run. Returns the list of
+    summary rows in (point, seed) order."""
     validate(cfg)
     sw = cfg.sweep
     vary = sw.get("vary", VOICE)
-    points = points_mbps if points_mbps is not None else sw.get("points_mbps")
-    if not points:
-        raise ConfigError("sweep.points_mbps must list at least one load point")
-    seeds = seeds if seeds is not None else sw.get("seeds", [cfg.seed])
-    if not seeds:
-        raise ConfigError("sweep.seeds must list at least one seed")
-    configs = []
-    for point in points:
-        loads = dict(cfg.loads_mbps)
-        loads[vary] = float(point)
-        for seed in seeds:
-            configs.append(replace(cfg, loads_mbps=loads, seed=int(seed)))
+    points = sw.get("points_mbps") if points_mbps is None else points_mbps
+    seeds = sw.get("seeds", [cfg.seed]) if seeds is None else seeds
+    validate(replace(cfg, sweep={**sw, "points_mbps": points, "seeds": seeds}))
+    configs = [replace(cfg, loads_mbps={**cfg.loads_mbps, vary: float(point)}, seed=int(seed))
+               for point in points for seed in seeds]
+    for c in configs:  # every point's loads, before the first run
+        validate(c)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(run_row, configs))

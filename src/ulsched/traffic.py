@@ -9,10 +9,10 @@ Every source has an integer `due`: the first TTI whose `step` can draw from
 the rng, change the source's state or emit a packet. Time starts at TTI 0
 and TTIs are stepped in increasing order. A caller may skip any TTI before
 `due`, but must not skip `due` itself; stepping every TTI stays correct and
-yields the same packets, stamps and draws. A skipped TTI may still have
-bookkeeping to do (a credit to accrue, a countdown to run, a uniform already
-drawn to consume): the next step replays it, one TTI at a time where float
-addition would otherwise round differently, before its own TTI.
+yields the same packets, stamps and draws. A voice source is due at every
+TTI. A TTI an on/off source skips may still have bookkeeping to do (a credit
+to accrue, a countdown to run): its next step replays it, one TTI at a time
+where float addition would otherwise round differently, before its own TTI.
 """
 
 import functools
@@ -83,7 +83,7 @@ def truncated_pareto_mean(scale, shape, maximum) -> float:
 
 NEVER = 2 ** 62          # the `due` of a source that never emits
 _UNIFORM_BLOCK = 16      # uniforms per voice rng call; every UE holds up to one block
-_LOOKAHEAD = 16          # TTIs a step looks ahead, at most, to find its source's `due`
+_LOOKAHEAD = 16          # TTIs an ON on/off source looks ahead, at most, to find its `due`
 
 
 class VoiceSource:
@@ -91,16 +91,9 @@ class VoiceSource:
     interval while talking, SID packets on a slower clock while silent.
     Sojourn times are geometric with the configured means (in ms).
 
-    The per-TTI state flip tests take their uniforms from blocks of
-    `rng.random(_UNIFORM_BLOCK)`, which is the same stream as one
-    `rng.random()` per test. A talking source is due every TTI: it emits at
-    almost every one. A silent source is due at the first TTI whose step
-    flips the state, sends a SID or needs a fresh block; it looks ahead for
-    that TTI over the uniforms left in its current block, which the rng has
-    already drawn, and over at most _LOOKAHEAD TTIs. So the rng is read at
-    the same TTIs as with a step at every TTI. A skipped silent TTI only
-    consumes its uniform and adds 1.0 to the SID credit; the next step
-    replays those additions one by one."""
+    Pacing credit accrues per TTI, so every TTI is due. The per-TTI state
+    flip tests take their uniforms from blocks of `rng.random(_UNIFORM_BLOCK)`,
+    which is the same stream as one `rng.random()` per test."""
 
     def __init__(self, rng, interval_ms=20.0, packet_bytes=40, sid_bytes=15,
                  sid_interval_ms=160.0, talk_mean_ms=3000.0, silence_mean_ms=3000.0,
@@ -119,27 +112,19 @@ class VoiceSource:
         # long-run rate equals talk_time/interval + silence_time/sid_interval
         self._talk_credit = interval_ms - 1.0
         self._sid_credit = sid_interval_ms - 1.0
-        self._block = []                      # the current block of uniforms
-        self._uniforms = iter(self._block)    # its unread tail
-        self._now = 0                         # the next TTI to step
+        self._uniforms = itertools.chain.from_iterable(
+            iter(lambda: rng.random(_UNIFORM_BLOCK).tolist(), None))
         self.due = 0
 
     def step(self, tti: int):
-        if tti > self._now:
-            self._replay(tti)
-        self._now = tti + 1
+        if tti > self.due:
+            raise TrafficError(f"voice source stepped at TTI {tti}, past its due TTI {self.due}")
+        self.due = tti + 1
         p_leave = self.p_leave_talk if self.talking else self.p_leave_silence
-        if p_leave:
-            u = next(self._uniforms, None)
-            if u is None:
-                self._block = self.rng.random(_UNIFORM_BLOCK).tolist()
-                self._uniforms = iter(self._block)
-                u = next(self._uniforms)
-            if u < p_leave:
-                self.talking = not self.talking
+        if p_leave and next(self._uniforms) < p_leave:
+            self.talking = not self.talking
         out = []
         if self.talking:
-            self.due = tti + 1
             self._talk_credit += 1.0
             while self._talk_credit >= self.interval_ms:
                 self._talk_credit -= self.interval_ms
@@ -149,42 +134,7 @@ class VoiceSource:
             while self._sid_credit >= self.sid_interval_ms:
                 self._sid_credit -= self.sid_interval_ms
                 out.append(Packet(VOICE, self.sid_bytes, tti, self.sid_bytes))
-            self._set_due(tti + 1)
         return out
-
-    def _set_due(self, now: int) -> None:
-        """`now` is the next TTI to step, and the source is silent. The step
-        at now + j is skipped while its uniform is in the block and at least
-        p_leave_silence (or, reading none, while j < _LOOKAHEAD), and the SID
-        credit plus j + 1 additions of 1.0 stays below sid_interval_ms."""
-        p = self.p_leave_silence
-        limit = _LOOKAHEAD
-        if p:  # up to the first uniform that flips, or the end of the block
-            ahead = self._block[len(self._block) - operator.length_hint(self._uniforms):]
-            limit = len(ahead)
-            if min(ahead, default=p) < p:
-                limit = next(j for j, u in enumerate(ahead) if u < p)
-        credit, sid = self._sid_credit, self.sid_interval_ms
-        for left in range(limit):
-            credit += 1.0
-            if credit >= sid:
-                break
-        else:
-            left = limit
-        self.due = now + left
-
-    def _replay(self, tti: int) -> None:
-        """The silent steps skipped since the last one: each consumes its
-        uniform and adds 1.0 to the SID credit."""
-        if tti > self.due:
-            raise TrafficError(f"voice source stepped at TTI {tti}, past its due TTI {self.due}")
-        skipped = tti - self._now
-        if self.p_leave_silence:
-            next(itertools.islice(self._uniforms, skipped, skipped), None)
-        credit = self._sid_credit
-        for _ in range(skipped):
-            credit += 1.0
-        self._sid_credit = credit
 
     def mean_rate_bps(self) -> float:
         """Stationary long-run rate from the two-state chain."""

@@ -182,9 +182,9 @@ def _oracle_grid(topo, cfg, fading_rngs, interference_rng):
     pc = pc_estimate_db(topo, cfg)
     ptx = uplink_tx_power(pc, cfg.prb_per_rc, cfg)
     signal = (ptx - (pc + topo.ue_shadow_db))[:, None]
-    if cfg.fast_fading:
-        fading = np.stack([10.0 * np.log10(fading_rngs[u].exponential(1.0, size=n_rc))
-                           for u in range(topo.n_ues)])
+    if cfg.fast_fading:  # reshape, not stack: a cell may hold no UE
+        fading = np.reshape([10.0 * np.log10(fading_rngs[u].exponential(1.0, size=n_rc))
+                             for u in range(topo.n_ues)], (topo.n_ues, n_rc))
         signal = signal + fading
     rng = interference_rng
     d_own = topo.cell_radius_m * np.sqrt(rng.uniform(0.0, 1.0, size=(6, n_rc)))

@@ -304,6 +304,22 @@ def test_bad_sweep_flag_is_a_usage_error_naming_it(flag, value, tmp_path, capsys
     assert not any(tmp_path.iterdir())  # nothing ran
 
 
+@pytest.mark.parametrize("flag, value, key", [
+    ("--points", "1,nan", "sweep.points_mbps"), ("--seeds", "1,-2", "sweep.seeds"),
+    ("--points", "1,0.001", "loads_mbps.voice")])  # below the SID floor over 30 UEs
+def test_sweep_flag_values_are_validated_before_the_first_run(flag, value, key, tmp_path,
+                                                              capsys, monkeypatch):
+    # point 1 (or seed 1) used to run first; the error then named
+    # loads_mbps.voice (or seed) instead of the flag's key
+    import ulsched.engine as engine
+    monkeypatch.setattr(engine, "run", lambda cfg: pytest.fail("a scenario ran"))
+    flags = {"--points": "1", "--seeds": "1", flag: value}
+    out = tmp_path / "out"
+    assert main(["sweep", *(a for item in flags.items() for a in item), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} ")
+    assert not any(out.iterdir())  # no CSV
+
+
 @pytest.mark.parametrize("name, command, flag", [
     ("SEED", "run", "--seed"), ("TTIS", "run", "--ttis"), ("JOBS", "sweep", "--jobs")])
 def test_bad_env_value_is_a_usage_error_naming_its_flag(name, command, flag, monkeypatch,

@@ -173,6 +173,28 @@ def test_validate_bounds_the_voice_load_by_what_the_cell_carries():
         run(ppp)
 
 
+def test_validate_bounds_the_video_load_by_what_the_cell_carries():
+    # one UE may offer at most rc_count * 756 B per TTI as a mean video rate:
+    # 48.384 Mbps on 8 RCs, a quarter of that on 2
+    from ulsched.channel import ChannelConfig
+    for prb_per_rc, rc_count in ((6, 8), (24, 2)):
+        edge_mbps = 2 * rc_count * 756 * 8e-3  # two UEs at the bound
+        cfg = ScenarioConfig(n_ues=2, channel=ChannelConfig(prb_per_rc=prb_per_rc))
+        validate(replace(cfg, loads_mbps={VOICE: 1.0, VIDEO: edge_mbps * (1 - 1e-9), DATA: 1.0}))
+        with pytest.raises(ConfigError, match="^loads_mbps.video = .* over 2 UEs: each UE"):
+            validate(replace(cfg, loads_mbps={VOICE: 1.0, VIDEO: edge_mbps * (1 + 1e-9),
+                                              DATA: 1.0}))
+    # 1e5 Mbps over 6 UEs used to pass: 1.39 M frames per second per UE
+    with pytest.raises(ConfigError, match="^loads_mbps.video"):
+        validate(ScenarioConfig(n_ues=6, loads_mbps={VOICE: 1.0, VIDEO: 1e5, DATA: 1.0}))
+    # with PPP the UE count is drawn, so run applies the bound to the count it drew
+    ppp = ScenarioConfig(ue_mode="ppp", ppp_intensity_per_km2=20.0, tti_count=5,
+                         loads_mbps={VOICE: 1.0, VIDEO: 1e5, DATA: 1.0})
+    validate(ppp)
+    with pytest.raises(ConfigError, match="^loads_mbps.video"):
+        run(ppp)
+
+
 def test_validate_rejects_channel_without_a_chunk():
     from ulsched.channel import ChannelConfig
     with pytest.raises(ConfigError) as err:
@@ -843,7 +865,12 @@ def test_validate_names_each_sweep_key():
                     ({"seeds": [-1]}, "sweep.seeds"),
                     ({"seeds": [True]}, "sweep.seeds"),
                     (5, "sweep")):
-        for check in (validate, sweep):  # before any run
+        checks = [validate, sweep]  # before any run
+        if key in ("sweep.points_mbps", "sweep.seeds"):  # the same lists as overrides
+            checks.append(lambda cfg: sweep(replace(cfg, sweep={}),
+                                            points_mbps=cfg.sweep.get("points_mbps", [1.0]),
+                                            seeds=cfg.sweep.get("seeds")))
+        for check in checks:
             with pytest.raises(ConfigError) as err:
                 check(ScenarioConfig(tti_count=10, n_ues=2, sweep=sw))
             assert str(err.value).startswith(key + " "), (sw, str(err.value))

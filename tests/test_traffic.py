@@ -310,78 +310,46 @@ def test_on_look_ahead_stops_at_its_cap():
     assert list(stepped) == [16, 33, 50]
 
 
-@pytest.mark.parametrize("seed, kwargs, stepped, sids", [
-    # 15 uniforms left after TTI 0, none below 1/40; TTI 16 needs a fresh
-    # block, whose first uniform flips the source to talking: due every TTI
-    (97, dict(silence_mean_ms=40.0), [0, 16, *range(17, 40)], [0]),
-    # silence is never left and reads no uniform: the look-ahead stops at its
-    # 16-TTI cap, and at TTI 160, where the SID credit reaches exactly 160.0
-    (3, dict(silence_mean_ms=0.0),
-     [0, 17, 34, 51, 68, 85, 102, 119, 136, 153, 160, 177], [0, 160]),
-    (3, dict(silence_mean_ms=0.0, sid_interval_ms=20.0), [0, 17, 20, 37, 40], [0, 20, 40]),
-])
-def test_silent_voice_due(seed, kwargs, stepped, sids):
-    make = lambda rng: VoiceSource(rng, start_talking=False, **kwargs)  # noqa: E731
-    got = _stepped_at(make, seed, stepped[-1] + 1)
-    assert list(got) == stepped
-    assert [t for t, pkts in got.items() if (VOICE, 15) in pkts] == sids
-
-
 class _Counted(float):
-    """A float that counts the additions and comparisons it takes part in as
-    the right operand, where Python asks the subclass first."""
+    """A float that counts the additions it takes part in as the right
+    operand, where Python asks the subclass first."""
     count = 0
 
-    def _counted(op):
-        def f(self, other):
-            _Counted.count += 1
-            return getattr(float, op)(self, other)
-        return f
-    __radd__ = _counted("__radd__")
-    __le__ = _counted("__le__")
-    __ge__ = _counted("__ge__")
-    __lt__ = _counted("__lt__")
-    __gt__ = _counted("__gt__")
-
-
-def _look_ahead_counts(src, sources, ttis=60):
-    """Per `_set_due` call of each of `sources`, the counted operations it made
-    while `src` is stepped at its due TTIs."""
-    counts = []
-    for inner in sources:
-        def counting(now, inner=inner, set_due=inner._set_due):
-            before = _Counted.count
-            set_due(now)
-            counts.append(_Counted.count - before)
-        inner._set_due = counting
-    for t in range(ttis):
-        if src.due <= t:
-            src.step(t)
-    return counts
+    def __radd__(self, other):
+        _Counted.count += 1
+        return float.__radd__(self, other)
 
 
 def test_look_ahead_iterations_are_capped():
-    # a silent voice source that never leaves silence nor sends a SID: each
-    # look-ahead iteration compares once with sid_interval_ms
-    voice = VoiceSource(np.random.default_rng(1), sid_interval_ms=_Counted(1e12),
-                        silence_mean_ms=0.0, start_talking=False)
-    assert _look_ahead_counts(voice, [voice]) == [16] * 4
     # on/off sources that accrue 1e-3 bit/s over periods up to 1e6 scales: each
-    # look-ahead iteration adds `rate` once, and OFF needs none
+    # look-ahead iteration adds `rate` once, and OFF needs none. Count the
+    # additions each `_set_due` call makes while the sources step at their due TTIs
     data = DataSource(np.random.default_rng(0), offered_bps=1e-3, source_rate_bps=1e-3,
                       cap_factor=1e6)
+    counts = []
     for onoff in data.sources:
         onoff.rate = _Counted(onoff.rate)
-    counts = _look_ahead_counts(data, data.sources)
+
+        def counting(now, set_due=onoff._set_due):
+            before = _Counted.count
+            set_due(now)
+            counts.append(_Counted.count - before)
+        onoff._set_due = counting
+    for t in range(60):
+        if data.due <= t:
+            data.step(t)
     assert max(counts) == 16  # seed 0 has ON periods longer than the cap
 
 
 def test_stepping_past_due_is_refused():
-    src = OnOffSource(np.random.default_rng(3), 25.0, 6.0, 300.0)
-    src.on, src._remaining = False, 10.0
-    src._set_due(0)
-    with pytest.raises(TrafficError):
-        src.step_ms(src.due + 1)
+    onoff = OnOffSource(np.random.default_rng(3), 25.0, 6.0, 300.0)
+    onoff.on, onoff._remaining = False, 10.0
+    onoff._set_due(0)
+    voice = VoiceSource(np.random.default_rng(3))
+    voice.step(0)
+    for src, step in ((onoff, onoff.step_ms), (voice, voice.step)):
+        with pytest.raises(TrafficError, match="past its due TTI"):
+            step(src.due + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,13 @@ One resource chunk (RC) is prb_per_rc contiguous PRBs scheduled for one TTI.
 Channel quality is block fading: constant within a TTI, redrawn per TTI.
 
 `CqiSource` is the one realization path. It computes the static link terms
-once; each `grid` call (one per TTI, in TTI order) adds that TTI's Rayleigh
-fading and first-tier interference, both drawn FADING_BLOCK_TTIS TTIs ahead.
-That leaves the realization unchanged: every UE owns its fading generator,
-the interference stream keeps its per-TTI draw order, and a fill of N values
-yields the same values as N smaller draws in turn. A replayed trace
-(`load_cqi_trace`) is indexed by the engine and never reaches the model.
+once. Every FADING_BLOCK_TTIS `grid` calls (one per TTI, in TTI order) it
+draws a block of Rayleigh fading and interference and maps the block's SINR
+to CQI once; each call returns its TTI's slice as a fresh int64 array. The
+realization is as per TTI: every UE owns its fading generator, the
+interference stream keeps its per-TTI draw order, a fill of N values yields
+the same values as N smaller draws in turn, and the map is elementwise. A
+replayed trace (`load_cqi_trace`) is indexed by the engine, not the model.
 """
 
 import math
@@ -114,11 +115,18 @@ def _dbm_to_mw(dbm):
 
 def sinr_to_cqi(sinr_db, thresholds=None):
     """Piecewise-constant step map onto CQI 1..15; [t_k, t_{k+1}) -> k,
-    clamped below t_1 to 1 and at or above t_15 to 15."""
-    thr = np.asarray(thresholds if thresholds is not None else _default_cqi_thresholds())
-    idx = np.searchsorted(thr, np.asarray(sinr_db, dtype=float), side="right")
-    out = np.minimum(np.maximum(idx, 1), 15)
-    return int(out) if out.ndim == 0 else out.astype(np.int64, copy=False)
+    clamped below t_1 to 1 and at or above t_15 to 15. NaN maps to 1."""
+    thr = thresholds if thresholds is not None else _default_cqi_thresholds()
+    out = _cqi_count(np.asarray(sinr_db, dtype=float), np.asarray(thr, dtype=float))
+    return int(out) if out.ndim == 0 else out.astype(np.int64)
+
+
+def _cqi_count(sinr_db, thresholds):
+    """sinr_to_cqi in int8: 1 plus the number of thresholds[1:] at or below the SINR."""
+    out = np.ones(sinr_db.shape, dtype=np.int8)
+    for t in thresholds[1:].tolist():
+        out += sinr_db >= t
+    return out
 
 
 _CQI_BYTES = np.array([0, 252, 252, 252, 252, 252, 252, 504, 504, 504,
@@ -129,7 +137,7 @@ def cqi_to_bytes_per_rc(cqi):
     """Transmittable bytes on one RC in one TTI: QPSK 252, 16-QAM 504,
     64-QAM 756 (coding overhead ignored)."""
     c = np.asarray(cqi)
-    if np.any((c < 1) | (c > 15)):
+    if c.size and (c.min() < 1 or c.max() > 15):
         raise ChannelError(f"CQI out of range 1..15: {cqi}")
     out = _CQI_BYTES[c]
     return out.item() if out.ndim == 0 else out
@@ -226,9 +234,10 @@ class CqiSource:
     Call `grid` once per TTI in TTI order: the k-th call returns the k-th
     TTI's grid whatever `tti` says. fading_rngs holds one generator per UE,
     so adding a UE never perturbs the draws of the others; interference
-    placement uses its own stream. Every FADING_BLOCK_TTIS calls refill the
-    block buffers; the grids are the same as with per-TTI draws,
-    deterministic for a fixed master seed.
+    placement uses its own stream. Every FADING_BLOCK_TTIS calls draw the
+    next block and map its whole SINR to CQI at once; each grid is a fresh
+    int64 array, the same as with per-TTI draws and maps, deterministic for
+    a fixed master seed.
     """
 
     def __init__(self, topo, cfg, fading_rngs, interference_rng):
@@ -241,12 +250,11 @@ class CqiSource:
         ptx = uplink_tx_power(pc, cfg.prb_per_rc, cfg)
         self._signal = (ptx - (pc + topo.ue_shadow_db))[:, None, None]  # dBm
         self._noise_mw = _dbm_to_mw(cfg.noise_dbm_per_rc())
-        self._thresholds = np.asarray(cfg.cqi_thresholds_db)
-        # per block: signal plus fading (n_ue, TTI, RC) and the noise-plus-
-        # interference dBm (TTI, RC), from the draws (3, TTI, 6, RC)
+        self._thresholds = np.asarray(cfg.cqi_thresholds_db, dtype=float)
+        # per block: signal plus fading (n_ue, TTI, RC), the draws
+        # (3, TTI, 6, RC) and the int8 CQI (n_ue, TTI, RC)
         block = (FADING_BLOCK_TTIS, cfg.rc_count)
         self._faded = np.broadcast_to(self._signal, (topo.n_ues,) + block).copy()
-        self._denom = np.empty(block)
         self._draws = np.empty((3, FADING_BLOCK_TTIS, 6, cfg.rc_count))
 
     def grid(self, tti: int) -> np.ndarray:
@@ -258,6 +266,6 @@ class CqiSource:
                 self._faded += self._signal
             interference = interference_block_dbm(self._topo, self._cfg,
                                                   self._interference_rng, self._draws)
-            self._denom[...] = 10.0 * np.log10(self._noise_mw
-                                               + _dbm_to_mw(interference).sum(axis=1))
-        return sinr_to_cqi(self._faded[:, i] - self._denom[i], self._thresholds)
+            denom = 10.0 * np.log10(self._noise_mw + _dbm_to_mw(interference).sum(axis=1))
+            self._cqi = _cqi_count(self._faded - denom, self._thresholds)
+        return self._cqi[:, i].astype(np.int64)

@@ -154,6 +154,9 @@ def test_sinr_to_cqi_clamps_and_boundaries():
     grid = sinr_to_cqi(np.linspace(-20, 30, 400))
     assert np.all(np.diff(grid) >= 0)
     assert set(np.unique(grid)) <= set(range(1, 16))
+    # no threshold lies at or below NaN
+    assert sinr_to_cqi(np.nan) == 1
+    assert np.array_equal(sinr_to_cqi(np.array([np.nan, -np.inf, np.inf])), [1, 1, 15])
 
 
 def test_cqi_to_bytes_levels():
@@ -163,9 +166,46 @@ def test_cqi_to_bytes_levels():
     all_vals = cqi_to_bytes_per_rc(np.arange(1, 16))
     assert set(all_vals.tolist()) == {252, 504, 756}
     assert np.all(np.diff(all_vals) >= 0)
-    for bad in (0, 16, -3):
-        with pytest.raises(ChannelError):
+    empty = cqi_to_bytes_per_rc(np.empty((0, 16), np.int64))
+    assert empty.shape == (0, 16) and empty.dtype == np.int64
+    for bad in (0, 16, -3, np.array([[3, 15], [0, 7]])):
+        with pytest.raises(ChannelError, match=f"^{re.escape(f'CQI out of range 1..15: {bad}')}$"):
             cqi_to_bytes_per_rc(bad)
+
+
+def _oracle_cqi(sinr_db, thresholds):
+    """The step map written out: the number of thresholds at or below the
+    SINR, clamped to 1..15, as int64."""
+    idx = np.searchsorted(np.asarray(thresholds), np.asarray(sinr_db, dtype=float), side="right")
+    return np.minimum(np.maximum(idx, 1), 15).astype(np.int64)
+
+
+_THRESHOLDS = st.one_of(
+    st.just(chan._default_cqi_thresholds()),
+    st.lists(st.floats(-60, 60), min_size=15, max_size=15).map(lambda v: tuple(sorted(v))),
+    # the brackets _grid_sinr_within builds: seven thresholds repeated, then eight
+    st.builds(lambda want, tol: (want - tol,) * 7 + (want + tol,) * 8,
+              st.floats(-30, 30), st.sampled_from([1e-12, 1e-9, 1e-3, 0.0])),
+    st.lists(st.integers(-20, 40), min_size=15, max_size=15).map(lambda v: tuple(sorted(v))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(thresholds=_THRESHOLDS, sinr=st.lists(st.floats(allow_nan=False), max_size=40))
+def test_sinr_to_cqi_equals_the_searchsorted_map(thresholds, sinr):
+    # random SINRs, each threshold, one ulp below each, and +-inf
+    thr = np.asarray(thresholds, dtype=float)
+    x = np.concatenate([sinr, thr, np.nextafter(thr, -np.inf), [-np.inf, np.inf]])
+    want = _oracle_cqi(x, thresholds)
+    for shape in ((-1,), (1, -1, 1)):
+        got = sinr_to_cqi(x.reshape(shape), thresholds)
+        assert got.dtype == np.int64 and np.array_equal(got.ravel(), want)
+    if thresholds == chan._default_cqi_thresholds():
+        assert np.array_equal(sinr_to_cqi(x), want)
+    # 0-d inputs give Python ints
+    for v, w in zip(x.tolist(), want.tolist()):
+        for scalar in (v, np.float64(v), np.array(v)):
+            got = sinr_to_cqi(scalar, thresholds)
+            assert type(got) is int and got == w
 
 
 def _rngs(seed, n_ue):
@@ -197,7 +237,7 @@ def _oracle_grid(topo, cfg, fading_rngs, interference_rng):
     shadow = rng.normal(0.0, cfg.shadowing_sigma_db, size=(6, n_rc))
     interference_dbm = ptx_own - (path_loss(d_serving) + cfg.penetration_loss_db + shadow)
     denom_dbm = 10.0 * np.log10(mw(cfg.noise_dbm_per_rc()) + mw(interference_dbm).sum(axis=0))
-    return sinr_to_cqi(signal - denom_dbm[None, :], cfg.cqi_thresholds_db)
+    return _oracle_cqi(signal - denom_dbm[None, :], cfg.cqi_thresholds_db)
 
 
 @settings(max_examples=40, deadline=None)
@@ -212,10 +252,31 @@ def test_grid_equals_per_tti_oracle(seed, n_ue, prb_per_rc, fast_fading, n_tti):
     topo = deploy(ScenarioConfig(seed=seed, n_ues=n_ue, channel=cfg),
                   np.random.default_rng([seed, 0]))
     src = CqiSource(topo, cfg, *_rngs(seed, n_ue))
+    grids = [src.grid(t) for t in range(n_tti)]  # all first: a reused buffer must show
     fading, interference = _rngs(seed, n_ue)
-    for t in range(n_tti):
-        got, want = src.grid(t), _oracle_grid(topo, cfg, fading, interference)
+    for t, got in enumerate(grids):
+        want = _oracle_grid(topo, cfg, fading, interference)
         assert got.dtype == want.dtype and np.array_equal(got, want), f"TTI {t}"
+
+
+def test_each_block_is_mapped_once_into_fresh_grids(monkeypatch):
+    # sinr_to_cqi counts through _cqi_count too, so a per-TTI map by either shows
+    calls = []
+    real = chan._cqi_count
+    monkeypatch.setattr(chan, "_cqi_count", lambda *args: calls.append(1) or real(*args))
+    cfg = ChannelConfig()
+    topo = deploy(ScenarioConfig(seed=5, n_ues=12, channel=cfg), np.random.default_rng([5, 0]))
+    src = CqiSource(topo, cfg, *_rngs(5, 12))
+    grids = [src.grid(t) for t in range(3 * FADING_BLOCK_TTIS)]
+    assert len(calls) == 3
+    assert not any(np.shares_memory(a, b) for a, b in zip(grids, grids[1:]))
+
+
+def test_zero_ue_source_gives_empty_grids():
+    src = CqiSource(_topo([]), CFG, [], np.random.default_rng(1))
+    for t in range(FADING_BLOCK_TTIS + 2):
+        grid = src.grid(t)
+        assert grid.shape == (0, CFG.rc_count) and grid.dtype == np.int64
 
 
 def test_realize_grid_deterministic_per_seed():

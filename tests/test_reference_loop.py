@@ -8,8 +8,10 @@ draws as stepping only at `due`, and `UeBuffer.due` says the same of aging, so
 the summary and the per-TTI trace must equal `run`'s. Each TTI's channel grid
 comes from `test_channel._oracle_grid`, which recomputes every term for it
 instead of drawing a block ahead; replayed traces are read by the shared
-parsers, and a UE's arrival rows are turned into packets at every TTI. Only
-the decision, `dispatch`, is shared with `run`; it has its own tests.
+parsers, and a UE's arrival rows are turned into packets at every TTI. The
+bytes per RC come from the CQI by the written-out modulation rule, and
+w = min(p, b) is formed here. Only the decision, `dispatch`, is shared with
+`run`; it has its own tests.
 """
 
 import numpy as np
@@ -20,7 +22,7 @@ from test_ue_tx import _full_sort_flip_drain
 from ulsched.channel import load_cqi_trace
 from ulsched.engine import ConfigError, ScenarioConfig, _build_sources, deploy, run, validate
 from ulsched.metrics import MetricsCollector, summary_row, worst_user
-from ulsched.schedulers import POLICIES, build_traffic_matrix, dispatch
+from ulsched.schedulers import POLICIES, TrafficMatrixW, dispatch
 from ulsched.traffic import (CLASSES, DATA, VIDEO, VOICE, DataSource, UeBuffer,
                              load_arrival_trace, make_packet)
 from ulsched.ue_tx import strict_priority_drain
@@ -36,6 +38,12 @@ def _every_tti_steps(src):
         onoff.step_ms(tti)
         return onoff.take_packets(tti)
     return [lambda tti, onoff=onoff: step(onoff, tti) for onoff in src.sources]
+
+
+def _bytes_per_rc(cqi):
+    """Bytes one RC carries in one TTI, written out: 252 for CQI 1-6 (QPSK),
+    504 for 7-9 (16-QAM) and 756 for 10-15 (64-QAM)."""
+    return np.where(cqi <= 6, 252, np.where(cqi <= 9, 504, 756)).astype(np.int64)
 
 
 def _reference_run(cfg: ScenarioConfig):
@@ -78,7 +86,9 @@ def _reference_run(cfg: ScenarioConfig):
             if cfg.policy == "dafs":
                 k_current = critical + np.maximum(b - cfg.buffer_threshold, 0)
             k = k_current + np.array([buf.history_sum for buf in buffers], dtype=np.int64)
-        decision = dispatch(cfg.policy, build_traffic_matrix(grid(tti), b), k, k_current)
+        p = _bytes_per_rc(grid(tti))
+        decision = dispatch(cfg.policy, TrafficMatrixW(w=np.minimum(p, b[:, None]), p=p, b=b),
+                            k, k_current)
         sent = 0
         delivered = []
         for ue, grant in enumerate(decision.grants.tolist()):

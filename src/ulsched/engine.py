@@ -14,7 +14,6 @@ import numbers
 import operator
 import os
 from collections.abc import Mapping
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -233,8 +232,14 @@ _RULES = (
      "15 nondecreasing finite real numbers"),
     *((key, *_MAPPING) for key in ("voice_params", "video_params", "data_params")),
     *((key, *_int(">=", 1)) for key in ("voice_params.packet_bytes", "voice_params.sid_bytes",
-                                        "video_params.packets_per_frame",
                                         "data_params.payload_min")),
+    # each packet of a frame holds at least one byte, and its gaps may all be
+    # shorter than a TTI, so a frame, like a talking voice UE, may offer no
+    # more per TTI than every RC carries at CQI 15: packets <= rc_count * 756
+    ("video_params.packets_per_frame",
+     lambda v, cfg: _is_int(v) and 1 <= v <= cfg.channel.rc_count * cqi_to_bytes_per_rc(15),
+     "an integer >= 1 and <= channel rc_count * 756, the bytes every RC carries in a TTI "
+     "at CQI 15"),
     *((key, *_int(">=", 0)) for key in ("video_params.min_frame_bytes", "data_params.n_sources")),
     *((key, *_real(">", 0)) for key in ("voice_params.sid_interval_ms", "video_params.size_scale",
                                         "video_params.ia_scale_ms",
@@ -477,12 +482,11 @@ def run(cfg: ScenarioConfig) -> MetricsSummary:
         sent = 0
         delivered = []
         decision = dispatch(cfg.policy, build_traffic_matrix(grid(tti), b), k, k_current)
-        grants = decision.grants
-        for ue in np.flatnonzero(grants).tolist():
-            buf = buffers[ue]
-            before = buf.total
-            delivered += drain(buf, int(grants[ue]), tti)
-            sent += before - buf.total
+        for buf, grant in zip(buffers, decision.grants.tolist()):
+            if grant:
+                before = buf.total
+                delivered += drain(buf, grant, tti)
+                sent += before - buf.total
         collector.record_tti(tti, dropped, sent, delivered, decision)
     return collector.finalize(buffers)
 
@@ -510,6 +514,8 @@ def sweep(cfg: ScenarioConfig, points_mbps=None, seeds=None, jobs: int = 1):
     for c in configs:  # every point's loads, before the first run
         validate(c)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(run_row, configs))
     return [run_row(c) for c in configs]

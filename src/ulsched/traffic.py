@@ -200,13 +200,18 @@ class VideoSource:
 def estimate_mean_frame_bytes(packets_per_frame, min_frame_bytes, size_scale,
                               size_shape, size_max, n_frames=4000) -> float:
     """Monte-Carlo mean frame size under the upscale-to-minimum rule
-    (seeded, cached); used to translate offered video load into fps."""
+    (seeded, cached); used to translate offered video load into fps. The
+    frames are drawn in order, in blocks of at most 2**16 packet sizes, so
+    a long frame takes time but no more memory."""
     rng = np.random.default_rng(20240901)
-    sizes = truncated_pareto_sample(size_scale, size_shape, size_max, rng,
-                                    size=(n_frames, packets_per_frame))
-    totals = sizes.sum(axis=1)
-    scale = np.maximum(1.0, min_frame_bytes / totals)
-    return float(np.ceil(sizes * scale[:, None]).sum(axis=1).mean())
+    rows = max(1, 2 ** 16 // packets_per_frame)
+    frames = []
+    for start in range(0, n_frames, rows):
+        sizes = truncated_pareto_sample(size_scale, size_shape, size_max, rng,
+                                        size=(min(rows, n_frames - start), packets_per_frame))
+        scale = np.maximum(1.0, min_frame_bytes / sizes.sum(axis=1))
+        frames.append(np.ceil(sizes * scale[:, None]).sum(axis=1))
+    return float(np.concatenate(frames).mean())
 
 
 class OnOffSource:
@@ -400,11 +405,12 @@ class UeBuffer:
 
     def enqueue(self, packets) -> None:
         """Append packets to their class FIFOs; tail-drop on overflow."""
-        arrived, queues = self.arrived, self.queues
+        arrived, queues, capacity = self.arrived, self.queues, self.capacity
+        total = self.total
         for p in packets:
             cls, size = p.cls, p.size
             arrived[cls] += size
-            if self.total + size > self.capacity:
+            if total + size > capacity:
                 self.overflow_dropped[cls] += size
                 continue
             q = queues[cls]
@@ -413,7 +419,8 @@ class UeBuffer:
                 if due < self.due:
                     self.due = due
             q.append(p)
-            self.total += size
+            total += size
+        self.total = total
 
     def age_and_drop(self, tti: int) -> tuple[int, int]:
         """Remove every real-time packet past its class deadline, record the
@@ -479,6 +486,40 @@ class UeBuffer:
                 n -= 1
             if n:  # a non-FIFO order left a sent packet behind the head
                 self.queues[cls] = deque(filter(operator.attrgetter("remaining"), q))
+        return delivered
+
+    def send_fifo(self, grant: int, tti: int) -> list:
+        """`send` in the order voice, video, then data, FIFO within each
+        class, in one pass over the queue heads: each fully sent packet
+        leaves its queue as it is reached, and a fragment stays at the head.
+        The sent bytes and packets are booked once per class."""
+        grant = budget = int(grant)
+        delivered = []
+        for cls in CLASSES:
+            if budget <= 0:
+                break
+            q = self.queues[cls]
+            if not q:
+                continue
+            left, n = budget, 0
+            while q:
+                p = q[0]
+                rem = p.remaining
+                if rem > left:
+                    p.remaining = rem - left
+                    left = 0
+                    break
+                q.popleft()
+                p.remaining = 0
+                left -= rem
+                n += 1
+                delivered.append((cls, p.size, tti - p.arrival_tti))
+                if not left:
+                    break
+            self.transmitted[cls] += budget - left
+            self.delivered_pkts[cls] += n
+            budget = left
+        self.total -= grant - budget
         return delivered
 
     @property

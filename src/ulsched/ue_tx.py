@@ -8,13 +8,14 @@ packet can overtake fresh voice. Greedy with fragmentation attains the
 fractional-knapsack optimum; only the packets the grant can reach are
 ranked.
 
-Each drain only orders the packets; `UeBuffer.send` walks them, the buffer
-books the sent bytes, and the drain returns the (cls, size, delay_ms) of
-each fully sent packet, in drain order.
+Neither drain writes the buffer's ledger; each returns the (cls, size,
+delay_ms) of each fully sent packet, in drain order. The strict drain hands
+the grant to `UeBuffer.send_fifo`, one pass over the queue heads that books
+each class once. The flip drain only orders the packets it keys and hands
+them to `UeBuffer.send`, the walk in any order.
 """
 
 import math
-from itertools import chain
 from operator import itemgetter
 
 from .traffic import DATA, UeBuffer, VIDEO, VOICE
@@ -66,5 +67,4 @@ def flip_drain(buf: UeBuffer, grant: int, tti: int) -> list:
 
 def strict_priority_drain(buf: UeBuffer, grant: int, tti: int) -> list:
     """Send voice, then video, then data, FIFO within each class."""
-    q = buf.queues
-    return buf.send(chain(q[VOICE], q[VIDEO], q[DATA]), grant, tti)
+    return buf.send_fifo(grant, tti)

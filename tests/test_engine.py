@@ -1,7 +1,11 @@
 """Engine tests: deployment, determinism, conservation, fixtures, sweep."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -193,6 +197,50 @@ def test_validate_bounds_the_video_load_by_what_the_cell_carries():
     validate(ppp)
     with pytest.raises(ConfigError, match="^loads_mbps.video"):
         run(ppp)
+
+
+def test_validate_bounds_the_packets_per_frame(monkeypatch):
+    # 10**6 used to pass validate, and run then drew a (4000, 10**6) float
+    # array for the fps estimate before TTI 0. A frame may hold as many
+    # packets as every RC carries bytes per TTI at CQI 15: 6048 on 8 RCs,
+    # 1512 on 2. Nothing here may reach the estimate.
+    import ulsched.traffic as traffic
+    from ulsched.channel import ChannelConfig
+
+    def must_not_draw(*args, **kwargs):
+        raise AssertionError("estimate_mean_frame_bytes called")
+    monkeypatch.setattr(traffic, "estimate_mean_frame_bytes", must_not_draw)
+    for prb_per_rc, limit in ((6, 6048), (24, 1512)):
+        cfg = ScenarioConfig(n_ues=2, channel=ChannelConfig(prb_per_rc=prb_per_rc))
+        validate(replace(cfg, video_params=dict(cfg.video_params, packets_per_frame=limit)))
+        for value in (limit + 1, 10 ** 6):
+            bad = replace(cfg, video_params=dict(cfg.video_params, packets_per_frame=value))
+            for check in (validate, run):
+                with pytest.raises(ConfigError, match="^video_params.packets_per_frame must be "
+                                                      "an integer >= 1 and <= channel rc_count"):
+                    check(bad)
+
+
+def test_long_frames_estimate_in_blocks_to_the_same_mean():
+    # 4000 frames of more than 16 packets are drawn in several blocks of at
+    # most 2**16 sizes, from the one stream; the mean equals the one-block draw
+    from ulsched.traffic import estimate_mean_frame_bytes, truncated_pareto_sample
+    for ppf, min_frame in ((8, 1500), (17, 1500), (300, 0), (1000, 10 ** 5)):
+        sizes = truncated_pareto_sample(40.0, 1.2, 250.0, np.random.default_rng(20240901),
+                                        size=(4000, ppf))
+        scale = np.maximum(1.0, min_frame / sizes.sum(axis=1))
+        want = float(np.ceil(sizes * scale[:, None]).sum(axis=1).mean())
+        assert estimate_mean_frame_bytes(ppf, min_frame, 40.0, 1.2, 250.0) == want
+
+
+def test_import_loads_no_process_pool():
+    # only sweep(jobs > 1) needs concurrent.futures.process; importing it
+    # on every `import ulsched` cost about 1.5 MB of peak RSS
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, ulsched; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, timeout=60, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_validate_rejects_channel_without_a_chunk():

@@ -2,10 +2,12 @@
 
 `_reference_run` is written for clarity, not speed. It steps every source at
 every TTI (each on/off source of a `DataSource` on its own, in source order),
-ages every buffer at every TTI and drains with the full-sort flip drain. The
-traffic docstring says stepping every TTI yields the same packets, stamps and
-draws as stepping only at `due`, and `UeBuffer.due` says the same of aging, so
-the summary and the per-TTI trace must equal `run`'s. Each TTI's channel grid
+ages every buffer at every TTI and drains with the two drain oracles of
+`test_ue_tx`: the full-sort flip drain, and the strict drain as the three
+class queues chained through `UeBuffer.send`. The traffic docstring says
+stepping every TTI yields the same packets, stamps and draws as stepping only
+at `due`, and `UeBuffer.due` says the same of aging, so the summary and the
+per-TTI trace must equal `run`'s. Each TTI's channel grid
 comes from `test_channel._oracle_grid`, which recomputes every term for it
 instead of drawing a block ahead; replayed traces are read by the shared
 parsers, and a UE's arrival rows are turned into packets at every TTI. The
@@ -18,14 +20,13 @@ import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 
 from test_channel import _oracle_grid
-from test_ue_tx import _full_sort_flip_drain
+from test_ue_tx import _chained_strict_drain, _full_sort_flip_drain
 from ulsched.channel import load_cqi_trace
 from ulsched.engine import ConfigError, ScenarioConfig, _build_sources, deploy, run, validate
 from ulsched.metrics import MetricsCollector, summary_row, worst_user
 from ulsched.schedulers import POLICIES, TrafficMatrixW, dispatch
 from ulsched.traffic import (CLASSES, DATA, VIDEO, VOICE, DataSource, UeBuffer,
                              load_arrival_trace, make_packet)
-from ulsched.ue_tx import strict_priority_drain
 
 
 def _every_tti_steps(src):
@@ -69,7 +70,7 @@ def _reference_run(cfg: ScenarioConfig):
         interference = np.random.default_rng([cfg.seed, 5])
         grid = lambda tti: _oracle_grid(topo, cfg.channel, fading, interference)  # noqa: E731
     collector = MetricsCollector(worst_user(topo) if n else 0, keep_trace=cfg.keep_trace)
-    drain = _full_sort_flip_drain if cfg.ue_policy == "flip" else strict_priority_drain
+    drain = _full_sort_flip_drain if cfg.ue_policy == "flip" else _chained_strict_drain
 
     for tti in range(cfg.tti_count):
         for step, buf in steps:
